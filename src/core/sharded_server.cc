@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 namespace cliffhanger {
 
@@ -40,8 +39,8 @@ struct alignas(64) ShardedCacheServer::Shard {
 namespace {
 
 // The single definition of how a Get outcome maps onto the lock-free
-// counter mirror; both the routed Get and ShardBatch::Get fold through it
-// so the two paths can never drift apart.
+// counter mirror; ShardBatch::Get and ShardBatch::GetValue both fold
+// through it.
 void MirrorGetOutcome(const Outcome& outcome, ClassStats* delta) {
   if (!outcome.cacheable) return;
   ++delta->gets;
@@ -110,117 +109,49 @@ bool ShardedCacheServer::RemoveApp(uint32_t app_id) {
   return true;
 }
 
+// The routed verbs are one-op ShardBatches: one lock, counter-mirroring and
+// rebalance-cadence discipline for every op, batched or not.
+
 Outcome ShardedCacheServer::Get(uint32_t app_id, const ItemMeta& item) {
-  Shard& shard = *shards_[ShardForKey(item.key)];
-  Outcome outcome;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    outcome = shard.server->Get(app_id, item);
-  }
-  ClassStats delta;
-  MirrorGetOutcome(outcome, &delta);
-  PublishDelta(shard, delta);
-  BumpOpCount(shard);
-  return outcome;
+  return BeginBatch(ShardForKey(item.key)).Get(app_id, item);
 }
 
 bool ShardedCacheServer::Set(uint32_t app_id, const ItemMeta& item) {
-  Shard& shard = *shards_[ShardForKey(item.key)];
-  bool counted;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    counted = shard.server->Set(app_id, item);
-  }
-  // Mirror exactly what the shard's own statistics counted, so the
-  // lock-free TotalStats() stays equal to MergedStats() at quiescence.
-  if (counted) shard.sets.fetch_add(1, std::memory_order_relaxed);
-  BumpOpCount(shard);
-  return counted;
+  return BeginBatch(ShardForKey(item.key)).Set(app_id, item);
 }
 
 bool ShardedCacheServer::Touch(uint32_t app_id, const ItemMeta& item) {
-  Shard& shard = *shards_[ShardForKey(item.key)];
-  bool resident;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    resident = shard.server->Touch(app_id, item);
-  }
-  // Touch mutates no per-class statistics, so there is nothing to mirror
-  // into the lock-free counters; it still advances the rebalance cadence.
-  BumpOpCount(shard);
-  return resident;
+  return BeginBatch(ShardForKey(item.key)).Touch(app_id, item);
 }
 
 void ShardedCacheServer::Delete(uint32_t app_id, const ItemMeta& item) {
-  Shard& shard = *shards_[ShardForKey(item.key)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.server->Delete(app_id, item);
-  }
-  BumpOpCount(shard);
+  BeginBatch(ShardForKey(item.key)).Delete(app_id, item);
 }
 
 Outcome ShardedCacheServer::Mutate(uint32_t app_id, MutateOp op,
                                    const ItemMeta& item) {
-  // Delegate to the routed verbs so every op shares their locking and
-  // counter-mirroring discipline exactly.
-  Outcome outcome;
-  switch (op) {
-    case MutateOp::kFill:
-      outcome.cacheable = Set(app_id, item);
-      break;
-    case MutateOp::kTouch:
-      outcome.hit = Touch(app_id, item);
-      break;
-    case MutateOp::kErase:
-      Delete(app_id, item);
-      break;
-  }
-  return outcome;
+  return BeginBatch(ShardForKey(item.key)).Mutate(app_id, op, item);
 }
 
 ValueOutcome ShardedCacheServer::GetValue(uint32_t app_id, uint64_t key,
                                           uint32_t key_size, uint32_t now_s,
                                           uint32_t flush_at_s) {
-  Shard& shard = *shards_[ShardForKey(key)];
-  ValueOutcome vo;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    vo = shard.server->GetByKey(app_id, key, key_size, now_s, flush_at_s);
-  }
-  ClassStats delta;
-  MirrorGetOutcome(vo.outcome, &delta);  // flush-reclaim is uncacheable
-  PublishDelta(shard, delta);
-  BumpOpCount(shard);
-  return vo;
+  return BeginBatch(ShardForKey(key))
+      .GetValue(app_id, key, key_size, now_s, flush_at_s);
 }
 
 ValueOutcome ShardedCacheServer::PeekValue(uint32_t app_id, uint64_t key,
                                            uint32_t now_s,
                                            uint32_t flush_at_s) {
-  Shard& shard = *shards_[ShardForKey(key)];
-  ValueOutcome vo;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    vo = shard.server->PeekByKey(app_id, key, now_s, flush_at_s);
-  }
-  // Peeks move no statistics; they still advance the rebalance cadence.
-  BumpOpCount(shard);
-  return vo;
+  return BeginBatch(ShardForKey(key)).PeekValue(app_id, key, now_s,
+                                                flush_at_s);
 }
 
 bool ShardedCacheServer::SetValue(uint32_t app_id, const ItemMeta& item,
                                   const void* data, uint32_t flags,
                                   uint64_t cas) {
-  Shard& shard = *shards_[ShardForKey(item.key)];
-  bool counted;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    counted = shard.server->SetValue(app_id, item, data, flags, cas);
-  }
-  if (counted) shard.sets.fetch_add(1, std::memory_order_relaxed);
-  BumpOpCount(shard);
-  return counted;
+  return BeginBatch(ShardForKey(item.key))
+      .SetValue(app_id, item, data, flags, cas);
 }
 
 ReplaceResult ShardedCacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
@@ -228,45 +159,21 @@ ReplaceResult ShardedCacheServer::ReplaceValue(uint32_t app_id, uint64_t key,
                                                const void* data,
                                                uint32_t size, uint64_t cas,
                                                uint32_t now_s) {
-  Shard& shard = *shards_[ShardForKey(key)];
-  ReplaceResult result;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    result = shard.server->ReplaceValue(app_id, key, key_size, data, size,
-                                        cas, now_s);
-  }
-  // Only a re-slab runs a counted Set inside the shard; mirror exactly that.
-  if (result == ReplaceResult::kReSlabbed) {
-    shard.sets.fetch_add(1, std::memory_order_relaxed);
-  }
-  BumpOpCount(shard);
-  return result;
+  return BeginBatch(ShardForKey(key))
+      .ReplaceValue(app_id, key, key_size, data, size, cas, now_s);
 }
 
 bool ShardedCacheServer::TouchValue(uint32_t app_id, uint64_t key,
                                     uint32_t key_size, uint32_t expiry_s,
                                     uint32_t now_s, uint32_t flush_at_s) {
-  Shard& shard = *shards_[ShardForKey(key)];
-  bool resident;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    resident = shard.server->TouchByKey(app_id, key, key_size, expiry_s,
-                                        now_s, flush_at_s);
-  }
-  BumpOpCount(shard);
-  return resident;
+  return BeginBatch(ShardForKey(key))
+      .TouchValue(app_id, key, key_size, expiry_s, now_s, flush_at_s);
 }
 
 bool ShardedCacheServer::DeleteValue(uint32_t app_id, uint64_t key,
                                      uint32_t now_s, uint32_t flush_at_s) {
-  Shard& shard = *shards_[ShardForKey(key)];
-  bool was_valid;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    was_valid = shard.server->DeleteByKey(app_id, key, now_s, flush_at_s);
-  }
-  BumpOpCount(shard);
-  return was_valid;
+  return BeginBatch(ShardForKey(key)).DeleteValue(app_id, key, now_s,
+                                                  flush_at_s);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,10 +199,10 @@ ShardedCacheServer::ShardBatch::ShardBatch(ShardBatch&& other) noexcept
 
 ShardedCacheServer::ShardBatch::~ShardBatch() {
   if (owner_ == nullptr) return;
-  // Same ordering as the single-op verbs: release the shard lock, then
-  // publish the counter deltas, then advance the rebalance cadence (which
-  // may run Rebalance() — it takes apps_mu_ plus every shard lock, so it
-  // must never run while this batch still holds one).
+  // Release the shard lock, then publish the counter deltas, then advance
+  // the rebalance cadence (which may run Rebalance() — it takes apps_mu_
+  // plus every shard lock, so it must never run while this batch still
+  // holds one).
   if (lock_.owns_lock()) lock_.unlock();
   owner_->PublishDelta(*shard_, delta_);
   owner_->BumpOpCount(*shard_, ops_);
@@ -307,6 +214,7 @@ void ShardedCacheServer::ShardBatch::Unlock() {
 
 Outcome ShardedCacheServer::ShardBatch::Get(uint32_t app_id,
                                             const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const Outcome outcome = shard_->server->Get(app_id, item);
   MirrorGetOutcome(outcome, &delta_);
@@ -316,6 +224,7 @@ Outcome ShardedCacheServer::ShardBatch::Get(uint32_t app_id,
 
 bool ShardedCacheServer::ShardBatch::Set(uint32_t app_id,
                                          const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const bool counted = shard_->server->Set(app_id, item);
   if (counted) ++delta_.sets;
@@ -325,6 +234,7 @@ bool ShardedCacheServer::ShardBatch::Set(uint32_t app_id,
 
 bool ShardedCacheServer::ShardBatch::Touch(uint32_t app_id,
                                            const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const bool resident = shard_->server->Touch(app_id, item);
   ++ops_;
@@ -333,6 +243,7 @@ bool ShardedCacheServer::ShardBatch::Touch(uint32_t app_id,
 
 void ShardedCacheServer::ShardBatch::Delete(uint32_t app_id,
                                             const ItemMeta& item) {
+  assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   shard_->server->Delete(app_id, item);
   ++ops_;
@@ -435,46 +346,6 @@ ShardedCacheServer::ShardBatch ShardedCacheServer::BeginBatch(
     size_t shard_index) {
   assert(shard_index < num_shards_);
   return ShardBatch(this, shard_index);
-}
-
-// Shard-grouped execution: a stable sort keeps same-shard ops in their
-// original relative order, and ops on different shards touch disjoint cache
-// state, so the result is identical to routing the array sequentially —
-// with one lock acquisition per shard touched instead of one per op.
-void ShardedCacheServer::GetBatch(const BatchGet* ops, size_t count,
-                                  Outcome* outcomes) {
-  std::vector<size_t> order(count);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ShardForKey(ops[a].item.key) < ShardForKey(ops[b].item.key);
-  });
-  size_t i = 0;
-  while (i < count) {
-    const size_t shard = ShardForKey(ops[order[i]].item.key);
-    ShardBatch batch = BeginBatch(shard);
-    for (; i < count && ShardForKey(ops[order[i]].item.key) == shard; ++i) {
-      const size_t idx = order[i];
-      outcomes[idx] = batch.Get(ops[idx].app_id, ops[idx].item);
-    }
-  }
-}
-
-void ShardedCacheServer::MutateBatch(const BatchMutation* ops, size_t count,
-                                     Outcome* outcomes) {
-  std::vector<size_t> order(count);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ShardForKey(ops[a].item.key) < ShardForKey(ops[b].item.key);
-  });
-  size_t i = 0;
-  while (i < count) {
-    const size_t shard = ShardForKey(ops[order[i]].item.key);
-    ShardBatch batch = BeginBatch(shard);
-    for (; i < count && ShardForKey(ops[order[i]].item.key) == shard; ++i) {
-      const size_t idx = order[i];
-      outcomes[idx] = batch.Mutate(ops[idx].app_id, ops[idx].op, ops[idx].item);
-    }
-  }
 }
 
 ClassStats ShardedCacheServer::TotalStats() const {

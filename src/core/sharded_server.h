@@ -5,13 +5,14 @@
 // incremental algorithms keep running unmodified under concurrent traffic.
 //
 // Concurrency model:
-//  - Get/Set/Delete lock only the shard the key hashes to.
-//  - A ShardBatch (BeginBatch) holds one shard's lock across a whole burst
-//    of operations, amortizing the acquisition; GetBatch/MutateBatch group
-//    an op array by shard and take one lock per shard touched. Ops on
-//    different shards act on disjoint cache state and same-key ops always
-//    hash to the same shard, so shard-grouped execution that preserves the
-//    per-shard op order yields the same cache state as sequential routing.
+//  - Every operation runs inside a ShardBatch (BeginBatch), which holds the
+//    lock of the one shard its keys hash to. The routed verbs (Get, Set,
+//    GetValue, ...) are one-op batches on ShardForKey(key); a caller that
+//    groups a burst of ops by shard opens one batch per shard touched and
+//    pays one lock acquisition for the whole group. Ops on different
+//    shards act on disjoint cache state and same-key ops always hash to the
+//    same shard, so shard-grouped execution that preserves the per-shard
+//    op order yields the same cache state as one-op routing.
 //  - Aggregate statistics are mirrored into per-shard cache-line-padded
 //    atomic counters, so TotalStats() is a lock-free read; MergedStats()
 //    and the per-app accessors take every shard lock (in index order) for
@@ -77,8 +78,9 @@ class ShardedCacheServer {
   // Returns false for an unknown app.
   bool RemoveApp(uint32_t app_id);
 
-  // Thread-safe routed operations; the app must have been added. Set
-  // returns true when the item was cacheable (same as CacheServer::Set).
+  // Thread-safe routed operations, each a one-op ShardBatch on the key's
+  // shard; the app must have been added. Set returns true when the item was
+  // cacheable (same as CacheServer::Set).
   // Touch refreshes expiry + recency of a resident item (no statistics
   // mutation); Mutate is the op-based surface (kFill/kTouch/kErase, see
   // cache/types.h) for drivers carrying an op stream.
@@ -112,10 +114,11 @@ class ShardedCacheServer {
   // Holds one shard's lock for a burst of operations, so a caller that has
   // already grouped its ops by shard pays one lock acquisition per burst
   // instead of one per op. Every key passed to a batch method MUST hash to
-  // the batch's shard (asserted in debug builds). Statistics mirroring and
-  // the rebalance cadence are deferred to the destructor, which publishes
-  // the accumulated deltas after releasing the shard lock — exactly the
-  // ordering the single-op verbs use — and may fire Rebalance().
+  // the batch's shard, and the batch must still hold its lock (both
+  // asserted in debug builds). Statistics mirroring and the rebalance
+  // cadence are deferred to the destructor, which publishes the
+  // accumulated deltas after releasing the shard lock and may fire
+  // Rebalance().
   class ShardBatch {
    public:
     ~ShardBatch();
@@ -174,22 +177,6 @@ class ShardedCacheServer {
 
   // Opens a batch on one shard (locks it until the ShardBatch dies).
   [[nodiscard]] ShardBatch BeginBatch(size_t shard_index);
-
-  // Array-based conveniences over ShardBatch: group the ops by shard
-  // (stable, so same-shard — and therefore same-key — order is preserved)
-  // and execute each group under a single lock acquisition. `outcomes`
-  // receives one entry per op, in the original array order.
-  struct BatchGet {
-    uint32_t app_id;
-    ItemMeta item;
-  };
-  struct BatchMutation {
-    uint32_t app_id;
-    MutateOp op;
-    ItemMeta item;
-  };
-  void GetBatch(const BatchGet* ops, size_t count, Outcome* outcomes);
-  void MutateBatch(const BatchMutation* ops, size_t count, Outcome* outcomes);
 
   [[nodiscard]] size_t num_shards() const { return num_shards_; }
   [[nodiscard]] size_t ShardForKey(uint64_t key) const {

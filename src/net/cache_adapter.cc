@@ -43,7 +43,7 @@ ResponseSegment& ClaimSlot(std::vector<ResponseSegment>* segments,
 // ShardBatches pinned by a pure-GET burst: they keep the shard locks — and
 // therefore the borrowed arena payload spans in the response segments —
 // alive until ReleaseBurstPins() runs after the flush. Thread-local
-// because each epoll worker runs its own bursts; the socket server calls
+// because each socket worker runs its own bursts; the socket server calls
 // HandleBatch and ReleaseBurstPins on the same thread, back to back.
 thread_local std::vector<ShardedCacheServer::ShardBatch> t_burst_pins;
 
@@ -157,8 +157,8 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
       zc->payload_size = vo.view.size;
       zc->trailer.append(kCrlf);
     } else {
-      // Copy path (poll backend, mixed bursts): the batch dies before the
-      // response is written, so the payload must move into the text.
+      // Copy path (mixed bursts): the batch dies before the response is
+      // written, so the payload must move into the text.
       const std::string_view data(vo.view.data, vo.view.size);
       if (with_cas) {
         AppendValueResponseCas(out, key, vo.view.flags, data, vo.view.cas);
@@ -172,27 +172,6 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
   if (vo.expired) {
     get_expired_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void CacheAdapter::HandleGet(const Command& cmd, std::string* out,
-                             bool with_cas) {
-  const uint32_t now = Now();
-  for (const std::string_view key : cmd.keys) {
-    cmd_get_.fetch_add(1, std::memory_order_relaxed);
-    const RoutedKey rk = Route(key);
-    if (!rk.app_known) {
-      get_misses_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // One shard lock around the probe and the response serialization:
-    // concurrent same-key operations from other connections are
-    // serialized, and the borrowed view is copied out before the batch
-    // (and the lock) is released.
-    ShardedCacheServer::ShardBatch batch =
-        server_->BeginBatch(server_->ShardForKey(rk.key_id));
-    GetKeyLocked(batch, key, rk, now, with_cas, out, /*zc=*/nullptr);
-  }
-  out->append(kEndLine);
 }
 
 bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
@@ -297,17 +276,6 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
-void CacheAdapter::HandleStore(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  // Held across the presence peek and the store: without it, two same-key
-  // SETs of different sizes could interleave their cross-class moves.
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  StoreLocked(batch, cmd, rk, now, out);
-}
-
 // append/prepend: splice onto an existing value. The command line's flags
 // and exptime are parsed but ignored (memcached semantics); only existence
 // gates the store, and the result re-slabs through the core when the size
@@ -364,15 +332,6 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
-void CacheAdapter::HandleConcat(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  ConcatLocked(batch, cmd, rk, now, out);
-}
-
 void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, bool increment,
@@ -420,16 +379,6 @@ void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
   if (!cmd.noreply) AppendNumericLine(out, result);
 }
 
-void CacheAdapter::HandleArith(const Command& cmd, std::string* out,
-                               bool increment) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  ArithLocked(batch, cmd, rk, now, increment, out);
-}
-
 void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, std::string* out) {
@@ -450,15 +399,6 @@ void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
   }
 }
 
-void CacheAdapter::HandleTouch(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  TouchLocked(batch, cmd, rk, now, out);
-}
-
 void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
                                 const Command& cmd, const RoutedKey& rk,
                                 uint32_t now_s, std::string* out) {
@@ -475,31 +415,47 @@ void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
   }
 }
 
-void CacheAdapter::HandleDelete(const Command& cmd, std::string* out) {
-  const RoutedKey rk = Route(cmd.key());
-  if (!CountAndAdmit(cmd, rk, out)) return;
-  const uint32_t now = Now();
-  ShardedCacheServer::ShardBatch batch =
-      server_->BeginBatch(server_->ShardForKey(rk.key_id));
-  DeleteLocked(batch, cmd, rk, now, out);
+bool CacheAdapter::HandleBarrier(const Command& cmd, std::string* out) {
+  switch (cmd.type) {
+    case CommandType::kFlushAll: {
+      cmd_flush_.fetch_add(1, std::memory_order_relaxed);
+      const uint64_t at = static_cast<uint64_t>(Now()) +
+                          static_cast<uint64_t>(cmd.exptime);
+      // Items with stored_s < flush point are dead once now reaches it; the
+      // reclaim is lazy (first access), O(1) per key, no sweeper. Items
+      // stored at or after the flush point — including later in the same
+      // second — survive. A later flush_all overwrites an earlier one, as
+      // memcached's single oldest_live does.
+      flush_at_s_.store(
+          at > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(at),
+          std::memory_order_relaxed);
+      if (!cmd.noreply) out->append(kOkLine);
+      return true;
+    }
+    case CommandType::kStats:
+      AppendStats(out);
+      return true;
+    case CommandType::kVersion:
+      out->append("VERSION ");
+      out->append(kServerVersion);
+      out->append(kCrlf);
+      return true;
+    case CommandType::kQuit:
+      return false;
+    case CommandType::kProtocolError:
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      // noreply is set only when the rejected command's line parsed
+      // cleanly enough to carry it; like memcached, such a command gets
+      // no reply at all — an unexpected error line would desync clients
+      // that count one response per non-noreply command.
+      if (!cmd.noreply) AppendErrorLine(out, cmd.error);
+      return true;
+    default:
+      return true;  // unreachable: shardable verbs never reach a barrier
+  }
 }
 
-void CacheAdapter::HandleFlushAll(const Command& cmd, std::string* out) {
-  cmd_flush_.fetch_add(1, std::memory_order_relaxed);
-  const uint32_t now = Now();
-  const uint64_t at = static_cast<uint64_t>(now) +
-                      static_cast<uint64_t>(cmd.exptime);
-  // Items with stored_s < flush point are dead once now reaches it; the
-  // reclaim is lazy (first access), O(1) per key, no sweeper. Items stored
-  // at or after the flush point — including later in the same second —
-  // survive. A later flush_all overwrites an earlier one, as memcached's
-  // single oldest_live does.
-  flush_at_s_.store(at > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(at),
-                    std::memory_order_relaxed);
-  if (!cmd.noreply) out->append(kOkLine);
-}
-
-void CacheAdapter::HandleStats(std::string* out) {
+void CacheAdapter::AppendStats(std::string* out) {
   AppendStat(out, "version", kServerVersion);
   AppendStat(out, "pointer_size", static_cast<uint64_t>(8 * sizeof(void*)));
   AppendStat(out, "num_shards", static_cast<uint64_t>(server_->num_shards()));
@@ -565,7 +521,7 @@ void CacheAdapter::HandleStats(std::string* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst path (epoll backend): per-shard op batching, zero-copy GET
+// Burst path: per-shard op batching, zero-copy GET
 // ---------------------------------------------------------------------------
 
 // One shard-routed operation of a burst, bound to its response slot. A
@@ -584,8 +540,8 @@ struct CacheAdapter::BurstOp {
 namespace {
 
 // Commands whose effects are confined to one key's shard. Everything else
-// (stats/version/flush_all/quit/protocol errors) acts as a barrier and goes
-// through the sequential Handle() in stream order.
+// (stats/version/flush_all/quit/protocol errors) acts as a barrier and runs
+// through HandleBarrier in stream order.
 bool IsShardable(CommandType type) {
   switch (type) {
     case CommandType::kGet:
@@ -652,10 +608,10 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                                      size_t* used, bool pinned) {
   // Collection: expand commands into shard-routed ops and claim their
   // response slots in stream order. Admission (unknown app) and the
-  // command counters run here, before any lock, exactly as the sequential
-  // handlers do; Now() is read once per command, in command order.
-  // Thread-local so the steady-state burst cycle reuses its capacity and
-  // stays off the allocator (each worker runs its own bursts).
+  // command counters run here, before any lock; Now() is read once per
+  // command, in command order. Thread-local so the steady-state burst cycle
+  // reuses its capacity and stays off the allocator (each worker runs its
+  // own bursts).
   static thread_local std::vector<BurstOp> ops;
   ops.clear();
   ops.reserve(count);
@@ -669,7 +625,7 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
         const RoutedKey rk = Route(cmd.keys[k]);
         if (!rk.app_known) {
           get_misses_.fetch_add(1, std::memory_order_relaxed);
-          continue;  // slot stays empty, like the sequential loop
+          continue;  // slot stays empty: an unknown app's key is a miss
         }
         ops.push_back(BurstOp{&cmd, k, *used - 1, now, rk,
                               server_->ShardForKey(rk.key_id)});
@@ -686,29 +642,45 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                           server_->ShardForKey(rk.key_id)});
   }
 
-  // Group by shard; the stable sort preserves same-shard (and therefore
-  // same-key) op order, which is what makes the grouped execution
-  // equivalent to the sequential stream — including read-your-write for a
-  // pipelined `set k` ... `get k` in one burst.
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const BurstOp& a, const BurstOp& b) {
-                     return a.shard < b.shard;
-                   });
+  if (ops.empty()) return;
+
+  // Group by shard with a counting pass: ops land in their shard's bucket
+  // in collection order, so same-shard (and therefore same-key) op order is
+  // preserved — which is what makes the grouped execution equivalent to
+  // the sequential stream, including read-your-write for a pipelined
+  // `set k` ... `get k` in one burst. Thread-local like `ops`.
+  static thread_local std::vector<size_t> bucket;   // per-shard cursor
+  static thread_local std::vector<size_t> grouped;  // op indexes by shard
+  const size_t num_shards = server_->num_shards();
+  bucket.assign(num_shards, 0);
+  for (const BurstOp& op : ops) ++bucket[op.shard];
+  size_t start = 0;
+  for (size_t& b : bucket) {
+    const size_t n = b;
+    b = start;  // bucket[s] = first slot of shard s
+    start += n;
+  }
+  grouped.resize(ops.size());
+  for (size_t j = 0; j < ops.size(); ++j) grouped[bucket[ops[j].shard]++] = j;
+  // Placement advanced every cursor to its bucket's end.
 
   // Execution: one core ShardBatch (shard lock) per shard per run. In a
   // pinned run the batches are parked — in ascending shard order, which
   // keeps concurrent pinning workers deadlock-free — so the zero-copy
   // payload spans stay valid until ReleaseBurstPins(); otherwise
   // ~ShardBatch publishes the counter deltas and bumps the rebalance
-  // cadence here, exactly like the sequential path.
-  size_t i = 0;
-  while (i < ops.size()) {
-    const size_t shard_index = ops[i].shard;
-    ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard_index);
-    for (; i < ops.size() && ops[i].shard == shard_index; ++i) {
-      ExecuteOpLocked(batch, ops[i], &(*segments)[ops[i].slot], pinned);
+  // cadence here.
+  size_t begin = 0;
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    const size_t end = bucket[shard];
+    if (begin == end) continue;
+    ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard);
+    for (size_t j = begin; j < end; ++j) {
+      const BurstOp& op = ops[grouped[j]];
+      ExecuteOpLocked(batch, op, &(*segments)[op.slot], pinned);
     }
     if (pinned) t_burst_pins.push_back(std::move(batch));
+    begin = end;
   }
 }
 
@@ -727,7 +699,7 @@ bool CacheAdapter::HandleBatch(const Command* cmds, size_t count,
   while (i < count) {
     if (!IsShardable(cmds[i].type)) {
       ResponseSegment& seg = ClaimSlot(segments, &used);
-      if (!Handle(cmds[i], &seg.text)) return false;
+      if (!HandleBarrier(cmds[i], &seg.text)) return false;
       ++i;
       continue;
     }
@@ -745,61 +717,6 @@ void CacheAdapter::ReleaseBurstPins() {
   // publish deltas and fire Rebalance(), which takes all shard locks.
   for (ShardedCacheServer::ShardBatch& batch : t_burst_pins) batch.Unlock();
   t_burst_pins.clear();
-}
-
-bool CacheAdapter::Handle(const Command& cmd, std::string* out) {
-  switch (cmd.type) {
-    case CommandType::kGet:
-      HandleGet(cmd, out, /*with_cas=*/false);
-      return true;
-    case CommandType::kGets:
-      HandleGet(cmd, out, /*with_cas=*/true);
-      return true;
-    case CommandType::kSet:
-    case CommandType::kAdd:
-    case CommandType::kReplace:
-    case CommandType::kCas:
-      HandleStore(cmd, out);
-      return true;
-    case CommandType::kAppend:
-    case CommandType::kPrepend:
-      HandleConcat(cmd, out);
-      return true;
-    case CommandType::kIncr:
-      HandleArith(cmd, out, /*increment=*/true);
-      return true;
-    case CommandType::kDecr:
-      HandleArith(cmd, out, /*increment=*/false);
-      return true;
-    case CommandType::kTouch:
-      HandleTouch(cmd, out);
-      return true;
-    case CommandType::kDelete:
-      HandleDelete(cmd, out);
-      return true;
-    case CommandType::kFlushAll:
-      HandleFlushAll(cmd, out);
-      return true;
-    case CommandType::kStats:
-      HandleStats(out);
-      return true;
-    case CommandType::kVersion:
-      out->append("VERSION ");
-      out->append(kServerVersion);
-      out->append(kCrlf);
-      return true;
-    case CommandType::kQuit:
-      return false;
-    case CommandType::kProtocolError:
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      // noreply is set only when the rejected command's line parsed
-      // cleanly enough to carry it; like memcached, such a command gets
-      // no reply at all — an unexpected error line would desync clients
-      // that count one response per non-noreply command.
-      if (!cmd.noreply) AppendErrorLine(out, cmd.error);
-      return true;
-  }
-  return true;
 }
 
 CacheAdapter::Counters CacheAdapter::counters() const {

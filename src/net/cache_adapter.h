@@ -24,12 +24,12 @@
 //    alive: eviction frees the slot synchronously.
 //  - Zero-copy GET. A hit hands back a ValueView borrowing the payload
 //    bytes straight from the value arena, valid until the owning shard
-//    next mutates. On the epoll burst path, a burst consisting solely of
-//    get/gets pins the touched shards' ShardBatch objects (ascending
-//    shard order) until the response segments are flushed, so the writev
-//    scatter-gathers directly from arena memory — the value bytes are
-//    never copied. Mixed bursts and the poll backend copy the payload
-//    into the response text instead (the batch cannot outlive the call).
+//    next mutates. A burst consisting solely of get/gets pins the touched
+//    shards' ShardBatch objects (ascending shard order) until the response
+//    segments are flushed, so the flush scatter-gathers directly from
+//    arena memory — the value bytes are never copied. Mixed bursts copy
+//    the payload into the response text instead (their batches cannot
+//    outlive the call).
 //  - Time. Every core operation is stamped with `now` from an injectable
 //    clock (CacheAdapterConfig::clock; defaults to the wall clock), so
 //    expiry is lazy and fully deterministic under test. Expiry is
@@ -100,19 +100,19 @@ class CacheAdapter final : public CommandHandler {
   CacheAdapter(const CacheAdapter&) = delete;
   CacheAdapter& operator=(const CacheAdapter&) = delete;
 
-  bool Handle(const Command& cmd, std::string* out) override;
-  // Burst entry point (epoll backend): consecutive shardable commands are
+  // The adapter's one execution path (CommandHandler::Handle runs a
+  // one-command burst through it): consecutive shardable commands are
   // grouped by shard and executed under ONE core ShardBatch per shard per
   // run, instead of one lock acquisition per op. Response slots are
-  // claimed in command/key order, so the segment sequence is
-  // byte-identical to sequential handling: ops on different shards touch
+  // claimed in command/key order, so the segment sequence is byte-identical
+  // to handling the commands one by one: ops on different shards touch
   // disjoint state, and same-key ops always hash to the same shard, where
   // the stable grouping preserves their order (read-your-write within a
   // pipelined burst included). A burst that is entirely get/gets keeps
   // its ShardBatches pinned until ReleaseBurstPins() so the response
   // segments can borrow the payload bytes from the value arena (zero-copy
-  // writev). Barrier commands (stats/version/flush_all/quit/errors) fall
-  // back to Handle() in place.
+  // flush). Barrier commands (stats/version/flush_all/quit/errors) run in
+  // place, between the sharded runs, through HandleBarrier.
   bool HandleBatch(const Command* cmds, size_t count,
                    std::vector<ResponseSegment>* segments) override;
   // Unlocks and destroys the ShardBatches pinned by a pure-GET burst.
@@ -176,17 +176,15 @@ class CacheAdapter final : public CommandHandler {
   }
 
   // Counts the command and, when its app is unknown, emits the verb's
-  // soft-failure response (shared by the single-op and burst paths, which
-  // both run it before taking any lock). Returns true when the command
-  // should proceed to its shard op.
+  // soft-failure response (runs at burst collection, before any lock).
+  // Returns true when the command should proceed to its shard op.
   bool CountAndAdmit(const Command& cmd, const RoutedKey& rk,
                      std::string* out);
 
   // Locked per-op executors: the memcached semantics of one operation,
-  // expressed over the core value verbs through an open ShardBatch (the
-  // single-op path opens a one-op batch; the burst path shares one per
-  // shard per run). Pre for all: rk.app_known true, CountAndAdmit (or the
-  // per-key get admission) already ran, `core` targets rk's shard.
+  // expressed over the core value verbs through the burst's open
+  // ShardBatch for rk's shard. Pre for all: rk.app_known true,
+  // CountAndAdmit (or the per-key get admission) already ran.
   //
   // GetKeyLocked serves a hit either zero-copy (`zc` non-null: the VALUE
   // header goes into zc->text and the payload span borrows the arena
@@ -219,14 +217,10 @@ class CacheAdapter final : public CommandHandler {
                          std::vector<ResponseSegment>* segments,
                          size_t* used, bool pinned);
 
-  void HandleGet(const Command& cmd, std::string* out, bool with_cas);
-  void HandleStore(const Command& cmd, std::string* out);
-  void HandleConcat(const Command& cmd, std::string* out);
-  void HandleArith(const Command& cmd, std::string* out, bool increment);
-  void HandleTouch(const Command& cmd, std::string* out);
-  void HandleDelete(const Command& cmd, std::string* out);
-  void HandleFlushAll(const Command& cmd, std::string* out);
-  void HandleStats(std::string* out);
+  // The barrier verbs — flush_all, stats, version, quit, protocol errors —
+  // none confined to one shard. Returns false for quit.
+  bool HandleBarrier(const Command& cmd, std::string* out);
+  void AppendStats(std::string* out);
 
   // The registered-app list as an immutable, atomically swapped snapshot:
   // Route() loads it lock-free per command; AddApp/RemoveApp publish a new

@@ -51,6 +51,12 @@ void DrainWakePipe(int fd) {
   }
 }
 
+// What a burst cycle leaves a connection waiting for: readability, write
+// space, both — or kClose, tear it down.
+constexpr uint32_t kWantRead = 1;
+constexpr uint32_t kWantWrite = 2;
+constexpr uint32_t kClose = 4;
+
 }  // namespace
 
 // One TCP connection, owned by exactly one worker thread.
@@ -62,6 +68,7 @@ struct SocketServer::Connection {
   std::string wr;       // pending outbound bytes
   size_t wr_offset = 0;
   AsciiParser parser;
+  uint32_t want = kWantRead;  // interest left by the last burst cycle
   uint32_t armed = 0;     // epoll backend: currently registered event mask
   bool closing = false;   // quit/abuse: stop parsing, flush wr, close
   bool peer_eof = false;  // FIN seen: stop reading, but keep parsing and
@@ -90,6 +97,11 @@ struct SocketServer::Worker {
   std::vector<int> mailbox;  // fds accepted for this worker
   std::vector<std::unique_ptr<Connection>> conns;
   std::unique_ptr<UringState> uring;  // kUring backend only
+  // Burst scratch, reused across bursts so the steady-state cycle stays off
+  // the allocator. read_buf is the recv target (poll/epoll only).
+  std::vector<char> read_buf;
+  std::vector<Command> cmds;
+  std::vector<ResponseSegment> segments;
 };
 
 #if CLIFFHANGER_HAS_IO_URING
@@ -295,7 +307,7 @@ bool SocketServer::Start(std::string* error) {
         w->thread = std::thread([this, w] { WorkerLoopEpoll(w); });
         break;
       case SocketBackend::kPoll:
-        w->thread = std::thread([this, w] { WorkerLoop(w); });
+        w->thread = std::thread([this, w] { WorkerLoopPoll(w); });
         break;
     }
   }
@@ -457,39 +469,6 @@ void SocketServer::AdoptIncoming(Worker* worker) {
   }
 }
 
-bool SocketServer::DrainCommands(Connection* conn) {
-  bool backpressured = false;
-  Command cmd;  // hoisted: Next resets it in place, keys keeps capacity
-  while (true) {
-    if (conn->wr.size() - conn->wr_offset >= config_.max_write_buffer) {
-      // Stop producing responses until the peer drains some; any complete
-      // frames still in rd are picked up after the next flush.
-      backpressured = true;
-      break;
-    }
-    const std::string_view unparsed(conn->rd.data() + conn->rd_offset,
-                                    conn->rd.size() - conn->rd_offset);
-    size_t consumed = 0;
-    const ParseStatus status = conn->parser.Next(unparsed, &consumed, &cmd);
-    conn->rd_offset += consumed;
-    if (status == ParseStatus::kCommand) {
-      if (!handler_->Handle(cmd, &conn->wr)) return false;
-      continue;
-    }
-    if (consumed > 0) continue;  // resync progress; try again on this buffer
-    break;                       // genuinely need more bytes
-  }
-  // Compact: discard the parsed prefix once per drain, not per command.
-  if (conn->rd_offset > 0) {
-    conn->rd.erase(0, conn->rd_offset);
-    conn->rd_offset = 0;
-  }
-  if (backpressured) return true;  // rd may legitimately hold whole frames
-  // A frame that cannot complete within the cap means a broken or hostile
-  // client; cut it off rather than buffering without bound.
-  return conn->rd.size() <= config_.max_read_buffer;
-}
-
 size_t SocketServer::CollectBurst(Connection* conn,
                                   std::vector<Command>* cmds) {
   size_t frames = 0;
@@ -518,36 +497,98 @@ size_t SocketServer::CollectBurst(Connection* conn,
   return frames;
 }
 
-bool SocketServer::FlushWrites(Connection* conn) {
-  while (conn->wr_offset < conn->wr.size()) {
-    const ssize_t n =
-        ::send(conn->fd, conn->wr.data() + conn->wr_offset,
-               conn->wr.size() - conn->wr_offset, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->wr_offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;  // peer gone
-  }
-  conn->wr.clear();
-  conn->wr_offset = 0;
-  return true;
+bool SocketServer::ReadOpen(const Connection* conn) const {
+  // A full read buffer stops reading (it can only be full while write-
+  // backpressured — otherwise the abuse guard already closed the
+  // connection): reading further would grow rd without bound on a client
+  // that pipelines but never drains responses. No stall: rd-full implies wr
+  // non-empty, so write interest stays armed and the cycle resumes after
+  // every flush.
+  return !conn->closing && !conn->peer_eof &&
+         conn->rd.size() <= config_.max_read_buffer;
 }
 
-bool SocketServer::FlushSegments(Connection* conn,
-                                 const std::vector<ResponseSegment>& segments,
-                                 size_t count) {
-  // Scatter-gather straight from the response segments: any queued write-
-  // buffer tail goes first (response order), then each segment's up to
-  // three pieces — protocol text, the borrowed payload span (pointing into
-  // the cache's value arena: this is the zero-copy GET path), trailer.
-  // Whatever the socket does not take is spilled into wr — copying the
-  // payload bytes, since the borrow ends when this function returns — so
-  // the normal flush/backpressure machinery owns it from there. The cursor
-  // and spill bookkeeping live in FlushSegmentsVia, shared with the uring
-  // backend's ring-submitted flush.
+bool SocketServer::ReadSocket(Worker* worker, Connection* conn) {
+  std::vector<char>& buf = worker->read_buf;
+  while (true) {
+    const ssize_t n = ::recv(conn->fd, buf.data(), buf.size(), 0);
+    if (n > 0) {
+      conn->rd.append(buf.data(), static_cast<size_t>(n));
+      if (conn->rd.size() > config_.max_read_buffer) return true;
+      continue;
+    }
+    if (n == 0) {
+      conn->peer_eof = true;
+      return true;
+    }
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK;
+  }
+}
+
+template <typename WriteFn>
+uint32_t SocketServer::RunBurstCycle(Worker* worker, Connection* conn,
+                                     WriteFn&& write_some) {
+  std::vector<ResponseSegment>& segments = worker->segments;
+  const auto flush = [&](size_t count) {
+    return FlushSegmentsVia(write_some, &conn->wr, &conn->wr_offset,
+                            segments.data(), count);
+  };
+  // Push out any bytes a previous cycle left queued before generating more.
+  bool alive = conn->wr.empty() || flush(0);
+  // Parse a burst, hand it to the handler as one batch (one shard-lock
+  // acquisition per shard per burst downstream), flush the response
+  // segments, repeat until the buffered frames are gone or write
+  // backpressure holds (write readiness resumes the cycle later). The
+  // parsed Commands alias rd, so compaction waits until the loop ends. Runs
+  // even after EOF: a client may pipeline its whole session and FIN at once
+  // (printf | nc), and every buffered command still gets its response.
+  while (alive && !conn->closing &&
+         conn->wr.size() - conn->wr_offset < config_.max_write_buffer) {
+    const size_t frames = CollectBurst(conn, &worker->cmds);
+    if (frames == 0) break;
+    // Reset in place (not clear+emplace) so the segments — and their inner
+    // string capacities — are reused across bursts. The handler decides
+    // the segment count (a multiget emits several per command), growing
+    // the vector if the recycled slots run out; unused tail slots stay
+    // empty and flush as zero bytes.
+    for (ResponseSegment& seg : segments) seg.Reset();
+    if (!handler_->HandleBatch(worker->cmds.data(), frames, &segments)) {
+      conn->closing = true;  // quit: flush what was produced, then close
+    }
+    alive = flush(segments.size());
+    // The borrowed payload spans are now either on the wire or copied into
+    // wr; a handler that pinned shard locks to keep them alive lets go.
+    handler_->ReleaseBurstPins();
+  }
+  if (!alive) return kClose;
+  if (conn->rd_offset > 0) {
+    conn->rd.erase(0, conn->rd_offset);
+    conn->rd_offset = 0;
+  }
+  // Abuse guard: a frame that cannot complete within the read cap — and is
+  // not merely waiting out write backpressure — means a broken or hostile
+  // client; cut it off rather than buffering without bound.
+  if (!conn->closing &&
+      conn->wr.size() - conn->wr_offset < config_.max_write_buffer &&
+      conn->rd.size() > config_.max_read_buffer) {
+    conn->closing = true;
+  }
+  MaybeReleaseBuffers(conn);
+  // A quit or EOF close waits for wr to drain, and the loop above only
+  // leaves wr empty once no complete frame remains — so no buffered
+  // command is ever dropped.
+  if ((conn->closing || conn->peer_eof) && conn->wr.empty()) return kClose;
+  return (ReadOpen(conn) ? kWantRead : 0) | (conn->wr.empty() ? 0 : kWantWrite);
+}
+
+void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
+                                     bool error, bool readable) {
+  // Hangup can coexist with readable data (the peer closed both directions
+  // after pipelining), so it gates like readability; recv() == 0 records
+  // the EOF.
+  bool alive = !error;
+  if (alive && readable && ReadOpen(conn)) alive = ReadSocket(worker, conn);
   const int fd = conn->fd;
   const auto write_some = [fd](const iovec* iov, int iov_count) -> ssize_t {
     while (true) {
@@ -557,8 +598,14 @@ bool SocketServer::FlushSegments(Connection* conn,
       return -errno;
     }
   };
-  return FlushSegmentsVia(write_some, &conn->wr, &conn->wr_offset,
-                          segments.data(), count);
+  const uint32_t want = alive ? RunBurstCycle(worker, conn, write_some)
+                              : kClose;
+  if (want == kClose) {
+    CloseConnection(worker, conn->index);
+    return;
+  }
+  conn->want = want;
+  if (worker->epfd >= 0) UpdateEpollInterest(worker, conn);
 }
 
 void SocketServer::MaybeReleaseBuffers(Connection* conn) {
@@ -597,25 +644,16 @@ void SocketServer::CloseConnection(Worker* worker, size_t index) {
   }
 }
 
-void SocketServer::WorkerLoop(Worker* worker) {
+void SocketServer::WorkerLoopPoll(Worker* worker) {
+  worker->read_buf.resize(kReadChunk);
   std::vector<pollfd> fds;
-  std::vector<char> read_buf(kReadChunk);
   while (!stopping_.load()) {
     fds.clear();
     fds.push_back({worker->wake_rd, POLLIN, 0});
     for (const auto& conn : worker->conns) {
-      // Stop arming POLLIN once the read buffer is full (it can only be
-      // full while write-backpressured — otherwise DrainCommands already
-      // closed the connection): reading further would grow rd without
-      // bound on a client that pipelines but never drains responses.
-      // No stall: rd-full implies wr non-empty, so POLLOUT stays armed
-      // and the parse cycle resumes after every flush.
       short events = 0;
-      if (!conn->closing && !conn->peer_eof &&
-          conn->rd.size() <= config_.max_read_buffer) {
-        events |= POLLIN;
-      }
-      if (!conn->wr.empty()) events |= POLLOUT;
+      if (conn->want & kWantRead) events |= POLLIN;
+      if (conn->want & kWantWrite) events |= POLLOUT;
       fds.push_back({conn->fd, events, 0});
     }
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
@@ -635,57 +673,11 @@ void SocketServer::WorkerLoop(Worker* worker) {
     const size_t polled = fds.size() - 1;
     for (size_t i = polled; i-- > 0;) {
       if (i >= worker->conns.size()) continue;
-      Connection* conn = worker->conns[i].get();
       const short revents = fds[i + 1].revents;
       if (revents == 0) continue;
-      if (revents & (POLLERR | POLLNVAL)) {
-        CloseConnection(worker, i);
-        continue;
-      }
-      bool alive = true;
-      if (!conn->closing && !conn->peer_eof &&
-          (revents & (POLLIN | POLLHUP)) &&
-          conn->rd.size() <= config_.max_read_buffer) {
-        while (true) {
-          const ssize_t n = ::recv(conn->fd, read_buf.data(),
-                                   read_buf.size(), 0);
-          if (n > 0) {
-            conn->rd.append(read_buf.data(), static_cast<size_t>(n));
-            if (conn->rd.size() > config_.max_read_buffer) break;
-            continue;
-          }
-          if (n == 0) {
-            conn->peer_eof = true;
-            break;
-          }
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          alive = false;
-          break;
-        }
-      }
-      if (alive && !conn->wr.empty()) alive = FlushWrites(conn);
-      // Parse → respond → flush until no complete frame remains or write
-      // backpressure holds (POLLOUT resumes the cycle on a later event).
-      // Runs even after EOF — including EOF seen during an earlier,
-      // backpressured iteration: a client may pipeline its whole session
-      // and FIN immediately (printf | nc); every buffered command still
-      // deserves its response before the close below.
-      while (alive && !conn->closing &&
-             conn->wr.size() - conn->wr_offset < config_.max_write_buffer) {
-        const size_t rd_before = conn->rd.size();
-        if (!DrainCommands(conn)) conn->closing = true;
-        if (alive && !conn->wr.empty()) alive = FlushWrites(conn);
-        if (conn->rd.size() == rd_before) break;  // nothing consumable left
-      }
-      MaybeReleaseBuffers(conn);
-      // peer_eof close only fires once wr is fully flushed, and the cycle
-      // above only leaves wr empty when no complete frame remains — so no
-      // buffered command is ever dropped.
-      if (!alive ||
-          ((conn->closing || conn->peer_eof) && conn->wr.empty())) {
-        CloseConnection(worker, i);
-      }
+      ServiceConnection(worker, worker->conns[i].get(),
+                        (revents & (POLLERR | POLLNVAL)) != 0,
+                        (revents & (POLLIN | POLLHUP)) != 0);
     }
   }
 }
@@ -694,8 +686,9 @@ void SocketServer::WorkerLoop(Worker* worker) {
 // Epoll burst backend
 // ---------------------------------------------------------------------------
 
-void SocketServer::UpdateEpollInterest(Worker* worker, Connection* conn,
-                                       uint32_t desired) {
+void SocketServer::UpdateEpollInterest(Worker* worker, Connection* conn) {
+  const uint32_t desired = ((conn->want & kWantRead) ? EPOLLIN : 0u) |
+                           ((conn->want & kWantWrite) ? EPOLLOUT : 0u);
   if (desired == conn->armed) return;
   epoll_event ev{};
   ev.events = desired;
@@ -705,98 +698,8 @@ void SocketServer::UpdateEpollInterest(Worker* worker, Connection* conn,
   }
 }
 
-void SocketServer::ServiceConnection(Worker* worker, Connection* conn,
-                                     uint32_t revents,
-                                     std::vector<char>* read_buf,
-                                     std::vector<Command>* cmds,
-                                     std::vector<ResponseSegment>* segments) {
-  if (revents & EPOLLERR) {
-    CloseConnection(worker, conn->index);
-    return;
-  }
-  bool alive = true;
-  // Drain the socket. EPOLLHUP can coexist with readable data (the peer
-  // closed both directions after pipelining), so it gates like POLLIN; the
-  // recv() == 0 below records the EOF.
-  if (!conn->closing && !conn->peer_eof &&
-      (revents & (EPOLLIN | EPOLLHUP)) &&
-      conn->rd.size() <= config_.max_read_buffer) {
-    while (true) {
-      const ssize_t n = ::recv(conn->fd, read_buf->data(),
-                               read_buf->size(), 0);
-      if (n > 0) {
-        conn->rd.append(read_buf->data(), static_cast<size_t>(n));
-        if (conn->rd.size() > config_.max_read_buffer) break;
-        continue;
-      }
-      if (n == 0) {
-        conn->peer_eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      alive = false;
-      break;
-    }
-  }
-  // Push out any bytes a previous wakeup left queued before generating more.
-  if (alive && !conn->wr.empty()) alive = FlushWrites(conn);
-  // Burst cycle: parse a burst, hand it to the handler as one batch (one
-  // shard-lock acquisition per shard per burst downstream), writev the
-  // response segments, repeat until the buffered frames are gone or write
-  // backpressure holds (EPOLLOUT resumes the cycle on a later event). The
-  // parsed Commands alias rd, so compaction waits until the cycle ends.
-  // Like the poll loop, this runs even after EOF: pipelined sessions that
-  // FIN immediately still get every buffered response.
-  while (alive && !conn->closing &&
-         conn->wr.size() - conn->wr_offset < config_.max_write_buffer) {
-    const size_t frames = CollectBurst(conn, cmds);
-    if (frames == 0) break;
-    // Reset in place (not clear+emplace) so the segments — and their inner
-    // string capacities — are reused across bursts: the steady-state burst
-    // cycle must not touch the allocator. The handler decides the segment
-    // count (a multiget emits several per command), growing the vector if
-    // the recycled slots run out; unused tail slots stay empty and flush
-    // as zero bytes.
-    for (ResponseSegment& seg : *segments) seg.Reset();
-    if (!handler_->HandleBatch(cmds->data(), frames, segments)) {
-      conn->closing = true;  // quit: flush what was produced, then close
-    }
-    if (alive) alive = FlushSegments(conn, *segments, segments->size());
-    // The borrowed payload spans are now either on the wire or copied into
-    // wr; a handler that pinned shard locks to keep them alive lets go.
-    handler_->ReleaseBurstPins();
-  }
-  if (conn->rd_offset > 0) {
-    conn->rd.erase(0, conn->rd_offset);
-    conn->rd_offset = 0;
-  }
-  // Abuse guard, same rule as DrainCommands: a frame that cannot complete
-  // within the read cap — and is not merely waiting out write
-  // backpressure — means a broken or hostile client.
-  if (alive && !conn->closing &&
-      conn->wr.size() - conn->wr_offset < config_.max_write_buffer &&
-      conn->rd.size() > config_.max_read_buffer) {
-    conn->closing = true;
-  }
-  MaybeReleaseBuffers(conn);
-  if (!alive || ((conn->closing || conn->peer_eof) && conn->wr.empty())) {
-    CloseConnection(worker, conn->index);
-    return;
-  }
-  uint32_t desired = 0;
-  if (!conn->closing && !conn->peer_eof &&
-      conn->rd.size() <= config_.max_read_buffer) {
-    desired |= EPOLLIN;
-  }
-  if (conn->wr_offset < conn->wr.size()) desired |= EPOLLOUT;
-  UpdateEpollInterest(worker, conn, desired);
-}
-
 void SocketServer::WorkerLoopEpoll(Worker* worker) {
-  std::vector<char> read_buf(kReadChunk);
-  std::vector<Command> cmds;                // reused across bursts
-  std::vector<ResponseSegment> segments;    // reused across bursts
+  worker->read_buf.resize(kReadChunk);
   epoll_event events[kEpollEvents];
   while (!stopping_.load()) {
     const int rc = ::epoll_wait(worker->epfd, events, kEpollEvents, -1);
@@ -816,9 +719,10 @@ void SocketServer::WorkerLoopEpoll(Worker* worker) {
       // Servicing may close other slots only via this very event, never a
       // different connection, and epoll reports each fd at most once per
       // wait — so the Connection pointers in events[] stay valid.
-      auto* conn = static_cast<Connection*>(events[e].data.ptr);
-      ServiceConnection(worker, conn, events[e].events, &read_buf, &cmds,
-                        &segments);
+      const uint32_t revents = events[e].events;
+      ServiceConnection(worker, static_cast<Connection*>(events[e].data.ptr),
+                        (revents & EPOLLERR) != 0,
+                        (revents & (EPOLLIN | EPOLLHUP)) != 0);
     }
   }
 }
@@ -1011,109 +915,70 @@ void SocketServer::CloseConnectionUring(Worker* worker, Connection* conn) {
   CloseConnection(worker, conn->index);
 }
 
-bool SocketServer::UringFlushBurst(Worker* worker, Connection* conn,
-                                   const std::vector<ResponseSegment>& segments,
-                                   size_t count) {
+void SocketServer::ServiceConnectionUring(Worker* worker, Connection* conn) {
   UringState* u = worker->uring.get();
-  const auto ring_write = [this, u, conn](const iovec* iov,
-                                          int iov_count) -> ssize_t {
-    io_uring_sqe* sqe = GetSqeOrFlush(&u->ring);
-    if (sqe == nullptr) return -EIO;
-    memset(&u->msg, 0, sizeof(u->msg));
-    u->msg.msg_iov = const_cast<iovec*>(iov);
-    u->msg.msg_iovlen = static_cast<size_t>(iov_count);
-    sqe->opcode = IORING_OP_SENDMSG;
-    sqe->fd = conn->fd;
-    sqe->addr = reinterpret_cast<uint64_t>(&u->msg);
-    sqe->len = 1;
-    sqe->msg_flags = MSG_DONTWAIT | MSG_NOSIGNAL;
-    sqe->user_data = TagConn(conn, kUringTagWrite);
-    ++conn->inflight;
-    // The submit below is where the batching lands: one io_uring_enter
-    // carries this write plus every SQE queued before it (read re-arms,
-    // buffer returns, cancels). MSG_DONTWAIT makes the completion
-    // immediate — the op never poll-arms — so waiting for it here cannot
-    // block on the peer, and the arena payload borrow ends inside this
-    // call exactly as it does with the epoll backend's writev.
-    while (true) {
-      const int rc = u->ring.SubmitAndWait(1);
-      if (rc < 0) {
-        // Enter failed wholesale; whether the op was consumed is unknown.
-        // Report a dead socket — teardown waits out inflight either way.
-        return rc;
-      }
-      io_uring_cqe cqe{};
-      while (u->ring.ReapCqes(&cqe, 1) == 1) {
-        if (cqe.user_data == TagConn(conn, kUringTagWrite)) {
-          --conn->inflight;
-          return cqe.res;
+  uint32_t want = 0;
+  if (conn->write_inflight) {
+    // An async SEND has wr pinned: no burst may run (its flush or spill
+    // would mutate wr under the kernel) until the write CQE lands; only the
+    // read side re-arms meanwhile.
+    want = ReadOpen(conn) ? kWantRead : 0;
+  } else {
+    // The burst flush goes out as one SENDMSG SQE (MSG_DONTWAIT |
+    // MSG_NOSIGNAL), submitted with every queued re-arm and reaped inline —
+    // foreign CQEs surfacing during the wait are deferred to the main pump.
+    const auto ring_write = [u, conn](const iovec* iov,
+                                      int iov_count) -> ssize_t {
+      io_uring_sqe* sqe = GetSqeOrFlush(&u->ring);
+      if (sqe == nullptr) return -EIO;
+      memset(&u->msg, 0, sizeof(u->msg));
+      u->msg.msg_iov = const_cast<iovec*>(iov);
+      u->msg.msg_iovlen = static_cast<size_t>(iov_count);
+      sqe->opcode = IORING_OP_SENDMSG;
+      sqe->fd = conn->fd;
+      sqe->addr = reinterpret_cast<uint64_t>(&u->msg);
+      sqe->len = 1;
+      sqe->msg_flags = MSG_DONTWAIT | MSG_NOSIGNAL;
+      sqe->user_data = TagConn(conn, kUringTagWrite);
+      ++conn->inflight;
+      // The submit below is where the batching lands: one io_uring_enter
+      // carries this write plus every SQE queued before it (read re-arms,
+      // buffer returns, cancels). MSG_DONTWAIT makes the completion
+      // immediate — the op never poll-arms — so waiting for it here cannot
+      // block on the peer, and the arena payload borrow ends inside this
+      // call exactly as it does with writev.
+      while (true) {
+        const int rc = u->ring.SubmitAndWait(1);
+        if (rc < 0) {
+          // Enter failed wholesale; whether the op was consumed is unknown.
+          // Report a dead socket — teardown waits out inflight either way.
+          return rc;
         }
-        // Foreign completion (another connection's op, a wake): the main
-        // pump processes it after this burst. Never this connection's
-        // async SEND — the burst cycle only runs while !write_inflight.
-        u->deferred.push_back(cqe);
+        io_uring_cqe cqe{};
+        while (u->ring.ReapCqes(&cqe, 1) == 1) {
+          if (cqe.user_data == TagConn(conn, kUringTagWrite)) {
+            --conn->inflight;
+            return cqe.res;
+          }
+          // Foreign completion (another connection's op, a wake): the main
+          // pump processes it after this burst. Never this connection's
+          // async SEND — the burst cycle only runs while !write_inflight.
+          u->deferred.push_back(cqe);
+        }
       }
+    };
+    want = RunBurstCycle(worker, conn, ring_write);
+    if (want == kClose) {
+      CloseConnectionUring(worker, conn);
+      return;
     }
-  };
-  return FlushSegmentsVia(ring_write, &conn->wr, &conn->wr_offset,
-                          segments.data(), count);
-}
-
-void SocketServer::ServiceConnectionUring(
-    Worker* worker, Connection* conn, std::vector<Command>* cmds,
-    std::vector<ResponseSegment>* segments) {
-  UringState* u = worker->uring.get();
-  // Burst cycle — identical to the epoll backend's, with the flush going
-  // through the ring. Paused while an async SEND has wr pinned: the burst
-  // flush (and any spill) would mutate wr under the kernel.
-  if (!conn->write_inflight) {
-    while (!conn->closing &&
-           conn->wr.size() - conn->wr_offset < config_.max_write_buffer) {
-      const size_t frames = CollectBurst(conn, cmds);
-      if (frames == 0) break;
-      for (ResponseSegment& seg : *segments) seg.Reset();
-      if (!handler_->HandleBatch(cmds->data(), frames, segments)) {
-        conn->closing = true;  // quit: flush what was produced, then close
-      }
-      const bool alive =
-          UringFlushBurst(worker, conn, *segments, segments->size());
-      // The borrowed payload spans are now either on the wire or copied
-      // into wr; a handler that pinned shard locks lets go.
-      handler_->ReleaseBurstPins();
-      if (!alive) {
-        CloseConnectionUring(worker, conn);
-        return;
-      }
-    }
-    if (conn->rd_offset > 0) {
-      conn->rd.erase(0, conn->rd_offset);
-      conn->rd_offset = 0;
-    }
-    // Abuse guard, same rule as the epoll backend.
-    if (!conn->closing &&
-        conn->wr.size() - conn->wr_offset < config_.max_write_buffer &&
-        conn->rd.size() > config_.max_read_buffer) {
-      conn->closing = true;
-    }
-    MaybeReleaseBuffers(conn);
   }
-  const bool wr_empty = conn->wr_offset >= conn->wr.size();
-  if ((conn->closing || conn->peer_eof) && wr_empty &&
-      !conn->write_inflight) {
-    CloseConnectionUring(worker, conn);
-    return;
-  }
-  if (!conn->closing && !conn->peer_eof && !conn->read_armed &&
-      conn->rd.size() <= config_.max_read_buffer) {
-    ArmUringRead(u, conn);
-  }
-  if (!wr_empty && !conn->write_inflight) ArmUringWrite(u, conn);
+  if ((want & kWantRead) && !conn->read_armed) ArmUringRead(u, conn);
+  if (want & kWantWrite) ArmUringWrite(u, conn);
 }
 
 void SocketServer::DispatchUringCqe(Worker* worker, uint64_t user_data,
-                                    int32_t res, uint32_t flags,
-                                    std::vector<Command>* cmds,
-                                    std::vector<ResponseSegment>* segments) {
+                                    int32_t res, uint32_t flags) {
   UringState* u = worker->uring.get();
   switch (user_data & kUringTagMask) {
     case kUringTagWake: {
@@ -1159,12 +1024,12 @@ void SocketServer::DispatchUringCqe(Worker* worker, uint64_t user_data,
           return;
         }
       }
-      ServiceConnectionUring(worker, conn, cmds, segments);
+      ServiceConnectionUring(worker, conn);
       return;
     }
     case kUringTagWrite: {
       // Only the async SEND lands here: the burst flush's inline SENDMSG
-      // CQEs are reaped inside UringFlushBurst.
+      // CQEs are reaped inside ServiceConnectionUring's write primitive.
       auto* conn = reinterpret_cast<Connection*>(user_data & ~kUringTagMask);
       conn->write_inflight = false;
       --conn->inflight;
@@ -1184,7 +1049,7 @@ void SocketServer::DispatchUringCqe(Worker* worker, uint64_t user_data,
           conn->wr_offset = 0;
         }
       }
-      ServiceConnectionUring(worker, conn, cmds, segments);
+      ServiceConnectionUring(worker, conn);
       return;
     }
     default:
@@ -1216,8 +1081,6 @@ void SocketServer::WorkerLoopUring(Worker* worker) {
     }
   }
   ArmUringWake(u);
-  std::vector<Command> cmds;              // reused across bursts
-  std::vector<ResponseSegment> segments;  // reused across bursts
   std::vector<io_uring_cqe> batch(kEpollEvents);
   std::vector<io_uring_cqe> local;
   std::vector<Connection*> retry;
@@ -1235,8 +1098,7 @@ void SocketServer::WorkerLoopUring(Worker* worker) {
         local.clear();
         local.swap(u->deferred);
         for (const io_uring_cqe& cqe : local) {
-          DispatchUringCqe(worker, cqe.user_data, cqe.res, cqe.flags, &cmds,
-                           &segments);
+          DispatchUringCqe(worker, cqe.user_data, cqe.res, cqe.flags);
         }
         progress = true;
       }
@@ -1244,7 +1106,7 @@ void SocketServer::WorkerLoopUring(Worker* worker) {
           batch.data(), static_cast<unsigned>(batch.size()));
       for (unsigned i = 0; i < n; ++i) {
         DispatchUringCqe(worker, batch[i].user_data, batch[i].res,
-                         batch[i].flags, &cmds, &segments);
+                         batch[i].flags);
       }
       if (n > 0) progress = true;
     }
@@ -1256,8 +1118,7 @@ void SocketServer::WorkerLoopUring(Worker* worker) {
       retry.clear();
       retry.swap(u->starved);
       for (Connection* conn : retry) {
-        if (!conn->dead && !conn->read_armed && !conn->closing &&
-            !conn->peer_eof && conn->rd.size() <= config_.max_read_buffer) {
+        if (!conn->dead && !conn->read_armed && ReadOpen(conn)) {
           ArmUringRead(u, conn);
         }
       }
@@ -1368,17 +1229,8 @@ void SocketServer::AcceptLoopUring() {
 // linker for the references in Start()'s dispatch.
 void SocketServer::WorkerLoopUring(Worker*) {}
 void SocketServer::AcceptLoopUring() {}
-void SocketServer::DispatchUringCqe(Worker*, uint64_t, int32_t, uint32_t,
-                                    std::vector<Command>*,
-                                    std::vector<ResponseSegment>*) {}
-void SocketServer::ServiceConnectionUring(Worker*, Connection*,
-                                          std::vector<Command>*,
-                                          std::vector<ResponseSegment>*) {}
-bool SocketServer::UringFlushBurst(Worker*, Connection*,
-                                   const std::vector<ResponseSegment>&,
-                                   size_t) {
-  return false;
-}
+void SocketServer::DispatchUringCqe(Worker*, uint64_t, int32_t, uint32_t) {}
+void SocketServer::ServiceConnectionUring(Worker*, Connection*) {}
 void SocketServer::CloseConnectionUring(Worker*, Connection*) {}
 void SocketServer::AdoptIncomingUring(Worker*) {}
 void SocketServer::ArmUringRead(UringState*, Connection*) {}

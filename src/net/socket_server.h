@@ -4,34 +4,38 @@
 // about caches — it feeds parsed Commands to a CommandHandler and writes
 // back whatever the handler appended.
 //
-// Three event-loop backends, selected by SocketServerConfig::backend:
+// Every backend runs one burst cycle per serviced connection: parse up to
+// max_burst_frames pipelined frames, hand the whole burst to
+// CommandHandler::HandleBatch (one per-shard lock per burst downstream),
+// flush the response segments scatter-gather straight from the handler's
+// segments (no concatenation copy), release the handler's burst pins,
+// compact, apply the abuse guard and compute the connection's next
+// interest. The backends differ only in how readiness arrives and which
+// primitive moves the bytes, selected by SocketServerConfig::backend:
 //  - kEpoll (default): each worker owns an epoll instance; connections are
 //    registered once at adoption, and interest (EPOLLIN/EPOLLOUT) is only
 //    re-armed via EPOLL_CTL_MOD when it actually changes — no per-iteration
-//    fd-set rebuild. Each wakeup runs a run-to-completion burst: drain the
-//    socket, parse up to max_burst_frames pipelined frames, hand the whole
-//    burst to CommandHandler::HandleBatch (one per-shard lock per burst
-//    downstream), then flush the response segments with writev scatter-
-//    gather straight from the handler's segments — no concatenation copy.
-//  - kUring: the same burst model with the syscalls submerged into io_uring.
-//    Reads complete into a provided-buffer group the kernel picks from (no
-//    recv syscall, no dedicated buffer per armed connection), each burst's
-//    responses leave as one batched SENDMSG SQE, read re-arms and buffer
-//    returns ride the same io_uring_submit, the mailbox wake is a
-//    registered eventfd read, and the acceptor arms one multishot accept
-//    SQE instead of calling accept4 per connection. Requires kernel
-//    support, probed at Start(); otherwise falls back to kEpoll with a
-//    logged reason so restricted kernels/containers still serve.
-//  - kPoll: the original poll(2) loop, kept as the A/B baseline; it rebuilds
-//    its pollfd array per wakeup and calls Handle() per command.
+//    fd-set rebuild. Bytes move with recv and writev.
+//  - kUring: the syscalls submerged into io_uring. Reads complete into a
+//    provided-buffer group the kernel picks from (no recv syscall, no
+//    dedicated buffer per armed connection), each burst's responses leave
+//    as one batched SENDMSG SQE, read re-arms and buffer returns ride the
+//    same io_uring_submit, the mailbox wake is a registered eventfd read,
+//    and the acceptor arms one multishot accept SQE instead of calling
+//    accept4 per connection. Requires kernel support, probed at Start();
+//    otherwise falls back to kEpoll with a logged reason so restricted
+//    kernels/containers still serve.
+//  - kPoll: the poll(2) A/B baseline. Each wakeup rebuilds the pollfd
+//    array from every connection's desired interest; bytes move with recv
+//    and writev, as under kEpoll.
 //
-// Connection lifecycle (both backends):
+// Connection lifecycle (every backend):
 //  - The acceptor poll()s the listen socket, drains accept4 until EAGAIN in
 //    batches, sets O_NONBLOCK + TCP_NODELAY, and hands each fd to the
 //    least-loaded worker via a mutexed mailbox + wake pipe. On EMFILE or
 //    ENFILE it backs off polling the wake pipe (so Stop() and fd-freeing
 //    closes interrupt the backoff instead of waiting out a sleep).
-//  - Reads append to the connection's read buffer; the parse loop drains
+//  - Reads append to the connection's read buffer; the burst cycle drains
 //    every complete pipelined frame. Partial frames stay buffered; partial
 //    writes stay queued. Buffers that ballooned past
 //    buffer_shrink_threshold release their capacity once they empty.
@@ -77,9 +81,6 @@ struct ResponseSegment {
 class CommandHandler {
  public:
   virtual ~CommandHandler() = default;
-  // Appends the response for `cmd` (if any) to *out. Returns false to close
-  // the connection after *out is flushed (quit).
-  virtual bool Handle(const Command& cmd, std::string* out) = 0;
   // Handles a burst of pipelined commands, filling response segments so the
   // caller can writev them without concatenating. A command may produce
   // zero segments (noreply) or several (a multiget emits one segment per
@@ -91,29 +92,34 @@ class CommandHandler {
   // contribute no bytes. Segment order must match command order (pipelined
   // clients rely on response order and read-your-write within a burst).
   // Returns false to close the connection after the segments filled so far
-  // are flushed; remaining commands are dropped, matching the sequential
-  // quit semantics. The default forwards to Handle() one command at a
-  // time; handlers with a cheaper batched path (per-shard lock
-  // amortization, zero-copy payloads) override it.
+  // are flushed; remaining commands are dropped (quit).
   virtual bool HandleBatch(const Command* cmds, size_t count,
-                           std::vector<ResponseSegment>* segments) {
-    for (size_t i = 0; i < count; ++i) {
-      if (segments->size() == i) segments->emplace_back();
-      if (!Handle(cmds[i], &(*segments)[i].text)) return false;
-    }
-    return true;
-  }
-  // Called after every FlushSegments for a burst whose segments this
-  // handler produced — the borrowed payload spans are dead from here on.
-  // Handlers that pinned shard locks to keep those spans alive release
-  // them now; the default has nothing to release.
+                           std::vector<ResponseSegment>* segments) = 0;
+  // Called after every flush of a burst whose segments this handler
+  // produced — the borrowed payload spans are dead from here on. Handlers
+  // that pinned shard locks to keep those spans alive release them now;
+  // the default has nothing to release.
   virtual void ReleaseBurstPins() {}
+  // One command outside any burst, its response appended to *out; returns
+  // false to close the connection (quit). The socket server never calls
+  // this. The default runs `cmd` as a one-command burst and concatenates
+  // the segments, so a handler has exactly one execution path.
+  virtual bool Handle(const Command& cmd, std::string* out) {
+    std::vector<ResponseSegment> segments;
+    const bool keep_open = HandleBatch(&cmd, 1, &segments);
+    for (const ResponseSegment& seg : segments) {
+      out->append(seg.text);
+      if (seg.payload_size > 0) out->append(seg.payload, seg.payload_size);
+      out->append(seg.trailer);
+    }
+    ReleaseBurstPins();
+    return keep_open;
+  }
 };
 
 enum class SocketBackend : uint8_t {
-  kPoll,   // original poll(2) loop: pollfd rebuild per wakeup, per-command
-           // Handle() — the A/B baseline
-  kEpoll,  // epoll + burst batching: register-once, HandleBatch, writev
+  kPoll,   // poll(2) readiness: pollfd rebuild per wakeup — the A/B baseline
+  kEpoll,  // epoll readiness: register-once, re-arm only on change
   kUring,  // io_uring: same burst model, but reads complete into a
            // kernel-selected provided-buffer group, burst responses go out
            // as one batched SENDMSG SQE, and re-arms ride the same submit —
@@ -133,12 +139,11 @@ struct SocketServerConfig {
   // worker stops parsing further pipelined commands until the peer drains
   // some (a non-reading client must not balloon server memory). Parsing
   // resumes automatically after a flush makes room. The check runs between
-  // commands (poll) or bursts (epoll), so the true per-connection bound is
-  // this cap plus one command's or burst's worst-case response — both
-  // bounded by kMaxKeysPerGet × kMaxValueBytes (a burst is capped at
-  // kMaxKeysPerGet key-ops, see max_burst_frames).
+  // bursts, so the true per-connection bound is this cap plus one burst's
+  // worst-case response — bounded by kMaxKeysPerGet × kMaxValueBytes (a
+  // burst is capped at kMaxKeysPerGet key-ops, see max_burst_frames).
   size_t max_write_buffer = 4 * (1 << 20);
-  // Epoll backend: max pipelined frames handed to one HandleBatch call.
+  // Max pipelined frames handed to one HandleBatch call.
   // A burst is additionally capped at kMaxKeysPerGet key-operations (a
   // multiget counts each key), so a burst's worst-case response volume
   // never exceeds the single-command worst case the write cap documents.
@@ -227,50 +232,45 @@ class SocketServer {
   // Distributes a batch of accepted fds to the least-loaded workers (one
   // mailbox lock and one wake byte per worker touched, not per fd).
   void DispatchAccepted(std::vector<int>* fds);
-  void WorkerLoop(Worker* worker);        // poll(2) backend
-  void WorkerLoopEpoll(Worker* worker);   // epoll burst backend
-  // io_uring burst backend: a CQE pump. Reads complete into the worker's
+  void WorkerLoopPoll(Worker* worker);    // poll(2) readiness loop
+  void WorkerLoopEpoll(Worker* worker);   // epoll readiness loop
+  // io_uring backend: a CQE pump. Reads complete into the worker's
   // provided-buffer group (zero syscalls per read), each completed read
-  // runs the same CollectBurst → HandleBatch → flush cycle, burst
-  // responses go out as one MSG_DONTWAIT SENDMSG SQE reaped inline (so the
-  // arena payload borrow ends inside the burst, exactly like epoll), spill
-  // drains via an async SEND of the stable write buffer, and every re-arm
-  // rides the next submit.
+  // runs the burst cycle with a ring SENDMSG as its flush primitive (reaped
+  // inline, so the arena payload borrow ends inside the burst, exactly
+  // like writev), spill drains via an async SEND of the stable write
+  // buffer, and every re-arm rides the next submit.
   void WorkerLoopUring(Worker* worker);
   // Moves mailbox fds into owned connections (registering them with the
   // worker's epoll instance when it has one).
   void AdoptIncoming(Worker* worker);
-  // Epoll backend: full service of one connection event — drain reads,
-  // flush, run the burst cycle (CollectBurst → HandleBatch →
-  // FlushSegments), then close or re-arm interest.
-  void ServiceConnection(Worker* worker, Connection* conn, uint32_t revents,
-                         std::vector<char>* read_buf,
-                         std::vector<Command>* cmds,
-                         std::vector<ResponseSegment>* segments);
+  // The burst cycle every backend runs on a serviced connection: flush any
+  // queued bytes, then CollectBurst → Reset segments → HandleBatch → flush
+  // → ReleaseBurstPins until no complete frame remains or write
+  // backpressure holds; then compact, apply the abuse guard, and return the
+  // interest the connection waits on next (or close). `write_some` is the
+  // flush primitive, with FlushSegmentsVia's writev contract.
+  template <typename WriteFn>
+  uint32_t RunBurstCycle(Worker* worker, Connection* conn,
+                         WriteFn&& write_some);
+  // Poll and epoll service of one readiness event: close on error, drain
+  // the socket when readable, run the burst cycle over writev, then close
+  // or record (and, under epoll, re-arm) the connection's interest.
+  void ServiceConnection(Worker* worker, Connection* conn, bool error,
+                         bool readable);
+  // Non-blocking recv until EAGAIN, EOF (sets peer_eof) or the read cap.
+  // Returns false on a dead socket.
+  bool ReadSocket(Worker* worker, Connection* conn);
+  // Whether the connection still takes input: not closing, no EOF yet, and
+  // the read buffer within its cap.
+  [[nodiscard]] bool ReadOpen(const Connection* conn) const;
   // Parses up to max_burst_frames complete frames (capped at kMaxKeysPerGet
   // key-ops) from the read buffer into *cmds. The parsed Commands alias the
   // read buffer; the caller compacts it only after the burst is handled.
   size_t CollectBurst(Connection* conn, std::vector<Command>* cmds);
-  // Re-arms the connection's epoll interest via EPOLL_CTL_MOD, only when
-  // the desired event set differs from what is currently armed.
-  static void UpdateEpollInterest(Worker* worker, Connection* conn,
-                                  uint32_t desired);
-  // Parse + handle complete frames in the read buffer until none remain or
-  // the write buffer hits its cap (backpressure; complete frames may stay
-  // buffered and are resumed after a flush). Returns false when the
-  // connection must close (quit or protocol abuse). Poll backend only.
-  bool DrainCommands(Connection* conn);
-  // Non-blocking flush of the write buffer. Returns false on a dead socket.
-  static bool FlushWrites(Connection* conn);
-  // Non-blocking writev of the queued write buffer plus the first `count`
-  // response segments (each up to three iovecs: text, borrowed payload,
-  // trailer), scatter-gather, no concatenation. Empty segments are skipped.
-  // Unsent bytes — including borrowed payload bytes, which must not be
-  // referenced after this call — spill into the write buffer. Returns
-  // false on a dead socket.
-  static bool FlushSegments(Connection* conn,
-                            const std::vector<ResponseSegment>& segments,
-                            size_t count);
+  // Re-arms the connection's epoll registration via EPOLL_CTL_MOD, only
+  // when its desired interest differs from what is currently armed.
+  static void UpdateEpollInterest(Worker* worker, Connection* conn);
   // Releases a drained connection buffer's capacity once it exceeds
   // buffer_shrink_threshold (counted in buffer_releases_).
   void MaybeReleaseBuffers(Connection* conn);
@@ -279,19 +279,10 @@ class SocketServer {
   // --- uring backend helpers (no-ops unless effective_backend_ == kUring).
   // Dispatches one completion: wake, read, write, buffer-return or cancel.
   void DispatchUringCqe(Worker* worker, uint64_t user_data, int32_t res,
-                        uint32_t flags, std::vector<Command>* cmds,
-                        std::vector<ResponseSegment>* segments);
-  // The burst cycle + re-arm tail shared by read and write completions.
-  void ServiceConnectionUring(Worker* worker, Connection* conn,
-                              std::vector<Command>* cmds,
-                              std::vector<ResponseSegment>* segments);
-  // One burst's flush: batched SENDMSG SQE (MSG_DONTWAIT | MSG_NOSIGNAL),
-  // submitted with any queued re-arms and reaped inline — foreign CQEs
-  // surfacing during the wait are deferred to the main pump. Returns false
-  // on a dead socket.
-  bool UringFlushBurst(Worker* worker, Connection* conn,
-                       const std::vector<ResponseSegment>& segments,
-                       size_t count);
+                        uint32_t flags);
+  // Read and write completions land here: the burst cycle over a ring
+  // SENDMSG flush (paused while an async SEND pins wr), then the re-arms.
+  void ServiceConnectionUring(Worker* worker, Connection* conn);
   // Begins teardown: cancels armed SQEs and frees the connection once its
   // in-flight count drains to zero (the fd must stay open until then — a
   // recycled descriptor would route stale completions to a new peer).

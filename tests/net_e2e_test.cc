@@ -42,6 +42,28 @@ namespace {
 
 constexpr uint64_t kMiB = 1ULL << 20;
 
+// Forwards to the adapter, counting how the socket server drives it.
+class CountingHandler final : public net::CommandHandler {
+ public:
+  explicit CountingHandler(net::CommandHandler* inner) : inner_(inner) {}
+  bool Handle(const net::Command& cmd, std::string* out) override {
+    handle_calls.fetch_add(1);
+    return inner_->Handle(cmd, out);
+  }
+  bool HandleBatch(const net::Command* cmds, size_t count,
+                   std::vector<net::ResponseSegment>* segments) override {
+    batch_calls.fetch_add(1);
+    return inner_->HandleBatch(cmds, count, segments);
+  }
+  void ReleaseBurstPins() override { inner_->ReleaseBurstPins(); }
+
+  std::atomic<uint64_t> handle_calls{0};
+  std::atomic<uint64_t> batch_calls{0};
+
+ private:
+  net::CommandHandler* inner_;
+};
+
 // Every test runs once per event-loop backend: the poll(2) baseline, the
 // epoll burst loop and the io_uring backend must be behaviorally
 // indistinguishable on the wire (the burst backends batch per-shard
@@ -77,8 +99,9 @@ class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
     net::SocketServerConfig net_config = net_config_template_;
     net_config.port = 0;  // ephemeral
     net_config.backend = GetParam();
+    counting_ = std::make_unique<CountingHandler>(adapter_.get());
     socket_server_ =
-        std::make_unique<net::SocketServer>(net_config, adapter_.get());
+        std::make_unique<net::SocketServer>(net_config, counting_.get());
     std::string error;
     ASSERT_TRUE(socket_server_->Start(&error)) << error;
     ASSERT_GT(socket_server_->port(), 0);
@@ -109,6 +132,7 @@ class NetE2eTest : public ::testing::TestWithParam<net::SocketBackend> {
 
   std::unique_ptr<ShardedCacheServer> server_;
   std::unique_ptr<net::CacheAdapter> adapter_;
+  std::unique_ptr<CountingHandler> counting_;  // between server and adapter
   std::unique_ptr<net::SocketServer> socket_server_;
   std::atomic<uint32_t> fake_now_{0};  // 0 = wall clock
   // Tests tune knobs (shrink threshold, backlog) here before StartServer;
@@ -1115,6 +1139,35 @@ TEST_P(NetE2eTest, BurstMixedVerbPipelineKeepsResponseOrder) {
   expect_line("END");
   expect_line("0");
   client.Quit();
+}
+
+TEST_P(NetE2eTest, EveryBackendRunsOneBatchedExecutionPath) {
+  // A pipelined session must reach the handler only through HandleBatch,
+  // in bursts of several frames — never through per-command Handle(),
+  // whichever backend serves it.
+  StartDefaultServer();
+  net::AsciiClient client = MakeClient();
+  constexpr int kFrames = 64;
+  std::string blob;
+  for (int i = 0; i < kFrames; i += 2) {
+    const std::string key = "p" + std::to_string(i);
+    blob += "set " + key + " 0 0 1\r\nx\r\nget " + key + "\r\n";
+  }
+  ASSERT_TRUE(client.SendRaw(blob));
+  const auto expect_line = [&](const std::string& want) {
+    std::string line;
+    ASSERT_TRUE(client.ReadLine(&line));
+    ASSERT_EQ(line, want);
+  };
+  for (int i = 0; i < kFrames; i += 2) {
+    expect_line("STORED");
+    expect_line("VALUE p" + std::to_string(i) + " 0 1");
+    expect_line("x");
+    expect_line("END");
+  }
+  EXPECT_EQ(counting_->handle_calls.load(), 0u);
+  EXPECT_GT(counting_->batch_calls.load(), 0u);
+  EXPECT_LT(counting_->batch_calls.load(), static_cast<uint64_t>(kFrames));
 }
 
 // --- The determinism test -------------------------------------------------

@@ -9,8 +9,10 @@
 //     shadow-signal rebalancer is re-dividing it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -235,8 +237,44 @@ TEST(ShardedServerTest, ManualRebalanceConservesAndEvens) {
 
 // --- Batch API equivalence -------------------------------------------------
 
+struct GetOp {
+  uint32_t app_id;
+  ItemMeta item;
+};
+struct MutationOp {
+  uint32_t app_id;
+  MutateOp op;
+  ItemMeta item;
+};
+
+// Runs ops[0, count) grouped by shard through BeginBatch, one batch per
+// shard touched. The grouping is stable, so same-shard (and therefore
+// same-key) ops keep their relative order — the property that makes
+// grouped execution equivalent to one-op routing. `run(batch, op, i)`
+// executes ops[i].
+template <typename Op, typename Run>
+void RunGroupedByShard(ShardedCacheServer& server, const std::vector<Op>& ops,
+                       Run run) {
+  const auto shard_of = [&](size_t i) {
+    return server.ShardForKey(ops[i].item.key);
+  };
+  std::vector<size_t> order(ops.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return shard_of(a) < shard_of(b);
+  });
+  size_t i = 0;
+  while (i < order.size()) {
+    const size_t shard = shard_of(order[i]);
+    ShardedCacheServer::ShardBatch batch = server.BeginBatch(shard);
+    for (; i < order.size() && shard_of(order[i]) == shard; ++i) {
+      run(batch, ops[order[i]], order[i]);
+    }
+  }
+}
+
 // Two identical servers replay the same scripted op stream, one through the
-// scalar Get/Mutate calls and one through GetBatch/MutateBatch in bursts of
+// routed Get/Mutate calls and one through shard-grouped BeginBatch bursts of
 // awkward sizes. Batching groups ops by shard but must change nothing
 // observable: every per-op Outcome, and the counters at every aggregation
 // level, must be bit-identical. Rebalance is off because the batched path
@@ -259,8 +297,8 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
   // bursts; awkward burst sizes so shard runs split at odd boundaries.
   const size_t kBurstSizes[] = {1, 7, 37, 64, 3, 50};
   size_t burst_pick = 0;
-  std::vector<ShardedCacheServer::BatchGet> gets;
-  std::vector<ShardedCacheServer::BatchMutation> mutations;
+  std::vector<GetOp> gets;
+  std::vector<MutationOp> mutations;
   for (int round = 0; round < 300; ++round) {
     const size_t burst = kBurstSizes[burst_pick++ % 6];
     const bool mutate_round = round % 2 == 1;
@@ -281,8 +319,11 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
     }
     if (mutate_round) {
       std::vector<Outcome> batch_out(mutations.size());
-      batched.MutateBatch(mutations.data(), mutations.size(),
-                          batch_out.data());
+      RunGroupedByShard(batched, mutations,
+                        [&](ShardedCacheServer::ShardBatch& batch,
+                            const MutationOp& m, size_t i) {
+                          batch_out[i] = batch.Mutate(m.app_id, m.op, m.item);
+                        });
       for (size_t i = 0; i < mutations.size(); ++i) {
         const Outcome seq_out = sequential.Mutate(
             mutations[i].app_id, mutations[i].op, mutations[i].item);
@@ -293,7 +334,11 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
       }
     } else {
       std::vector<Outcome> batch_out(gets.size());
-      batched.GetBatch(gets.data(), gets.size(), batch_out.data());
+      RunGroupedByShard(batched, gets,
+                        [&](ShardedCacheServer::ShardBatch& batch,
+                            const GetOp& g, size_t i) {
+                          batch_out[i] = batch.Get(g.app_id, g.item);
+                        });
       for (size_t i = 0; i < gets.size(); ++i) {
         const Outcome seq_out = sequential.Get(gets[i].app_id, gets[i].item);
         EXPECT_EQ(batch_out[i].hit, seq_out.hit) << "round " << round;
@@ -338,8 +383,8 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(0xC0FFEEULL + static_cast<uint64_t>(t));
-      std::vector<ShardedCacheServer::BatchGet> gets;
-      std::vector<ShardedCacheServer::BatchMutation> fills;
+      std::vector<GetOp> gets;
+      std::vector<MutationOp> fills;
       std::vector<Outcome> outcomes(kBurstOps);
       uint64_t local_gets = 0;
       for (size_t b = 0; b < kBursts; ++b) {
@@ -348,7 +393,11 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
           const uint32_t app = rng.NextBernoulli(0.5) ? kAppA : kAppB;
           gets.push_back({app, MakeItem(zipf.Sample(rng))});
         }
-        server.GetBatch(gets.data(), gets.size(), outcomes.data());
+        RunGroupedByShard(server, gets,
+                          [&](ShardedCacheServer::ShardBatch& batch,
+                              const GetOp& g, size_t i) {
+                            outcomes[i] = batch.Get(g.app_id, g.item);
+                          });
         local_gets += gets.size();
         // Demand-fill the misses through the mutation batch.
         fills.clear();
@@ -357,9 +406,11 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
             fills.push_back({gets[i].app_id, MutateOp::kFill, gets[i].item});
           }
         }
-        if (!fills.empty()) {
-          server.MutateBatch(fills.data(), fills.size(), outcomes.data());
-        }
+        RunGroupedByShard(server, fills,
+                          [&](ShardedCacheServer::ShardBatch& batch,
+                              const MutationOp& m, size_t i) {
+                            outcomes[i] = batch.Mutate(m.app_id, m.op, m.item);
+                          });
       }
       issued_gets.fetch_add(local_gets);
     });
