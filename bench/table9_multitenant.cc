@@ -149,10 +149,10 @@ void RunTraffic(ShardedCacheServer& server, std::deque<Tenant>& live,
   }
 }
 
-// Snapshot-delta bookkeeping: TotalStats() reads the sharded server's
-// append-only counter mirrors, which survive tenant removal (an AppCache's
-// own statistics die with it, so MergedStats deltas would go backwards
-// across churn).
+// Snapshot-delta bookkeeping: TotalStats() is cumulative across tenant
+// removal (each shard folds a departing app's statistics into its retired
+// total before the AppCache dies), so phase deltas never go backwards
+// across churn.
 struct StatsDelta {
   ClassStats base;
   explicit StatsDelta(const ShardedCacheServer& server)

@@ -262,22 +262,6 @@ bool AppCache::Touch(const ItemMeta& item) {
   return it != classes_.end() && it->second->queue->Touch(item);
 }
 
-Outcome AppCache::Mutate(MutateOp op, const ItemMeta& item) {
-  Outcome outcome;
-  switch (op) {
-    case MutateOp::kFill:
-      outcome.cacheable = Set(item);
-      break;
-    case MutateOp::kTouch:
-      outcome.hit = Touch(item);
-      break;
-    case MutateOp::kErase:
-      Delete(item);
-      break;
-  }
-  return outcome;
-}
-
 void AppCache::Delete(const ItemMeta& item) {
   if (config_.eviction == EvictionScheme::kGlobalLog) {
     GetOrCreateEntry(0).queue->Delete(item.key);
@@ -712,6 +696,7 @@ bool CacheServer::RemoveApp(uint32_t app_id) {
   if (it == apps_.end()) return false;
   AppCache* departing = it->second.get();
   const uint64_t freed = departing->reservation();
+  retired_ += departing->TotalStats();
   if (cross_climber_) {
     const size_t index = departing->cross_index_;
     cross_climber_->RemoveQueue(index);
@@ -814,17 +799,6 @@ void CacheServer::Delete(uint32_t app_id, const ItemMeta& item) {
   if (a != nullptr) a->Delete(item);
 }
 
-Outcome CacheServer::Mutate(uint32_t app_id, MutateOp op,
-                            const ItemMeta& item) {
-  AppCache* a = app(app_id);
-  if (a == nullptr) {
-    Outcome o;
-    o.cacheable = false;
-    return o;
-  }
-  return a->Mutate(op, item);
-}
-
 ValueOutcome CacheServer::GetByKey(uint32_t app_id, uint64_t key,
                                    uint32_t key_size, uint32_t now_s,
                                    uint32_t flush_at_s) {
@@ -882,7 +856,7 @@ void CacheServer::OnAppShadowHit(size_t app_index, double weight) {
 }
 
 ClassStats CacheServer::TotalStats() const {
-  ClassStats total;
+  ClassStats total = retired_;
   for (const auto& [id, app] : apps_) total += app->TotalStats();
   return total;
 }

@@ -158,12 +158,6 @@ class AppCache {
   bool Touch(const ItemMeta& item);
   void Delete(const ItemMeta& item);
 
-  // Op-based mutation surface (see MutateOp in cache/types.h): kFill maps
-  // to Set (Outcome::cacheable = admitted), kTouch to Touch (Outcome::hit
-  // = resident), kErase to Delete. One entry point for drivers that carry
-  // an op stream rather than calling the verbs directly.
-  Outcome Mutate(MutateOp op, const ItemMeta& item);
-
   // --- Value-mode verbs (ServerConfig::store_values only) ---
   //
   // These carry real payload bytes through the per-class ValueStore while
@@ -302,7 +296,9 @@ class CacheServer {
   // slots eagerly (their destructors release everything), removes it from
   // the cross-app climber, and — in cross-app mode — redistributes its
   // current reservation to the surviving apps proportionally to theirs, so
-  // the server-wide total is conserved. Returns false for an unknown app.
+  // the server-wide total is conserved. The app's statistics are folded
+  // into the server's retired total first, so TotalStats() never goes
+  // backwards across tenant churn. Returns false for an unknown app.
   bool RemoveApp(uint32_t app_id);
   [[nodiscard]] AppCache* app(uint32_t app_id);
   [[nodiscard]] const AppCache* app(uint32_t app_id) const;
@@ -316,7 +312,6 @@ class CacheServer {
   bool Set(uint32_t app_id, const ItemMeta& item);
   bool Touch(uint32_t app_id, const ItemMeta& item);
   void Delete(uint32_t app_id, const ItemMeta& item);
-  Outcome Mutate(uint32_t app_id, MutateOp op, const ItemMeta& item);
 
   // Value-mode verbs, routed by app id (ServerConfig::store_values only).
   ValueOutcome GetByKey(uint32_t app_id, uint64_t key, uint32_t key_size,
@@ -334,6 +329,8 @@ class CacheServer {
                    uint32_t flush_at_s);
 
   [[nodiscard]] const ServerConfig& config() const { return config_; }
+  // Cumulative over the server's lifetime: the live apps' statistics plus
+  // those of every app RemoveApp has retired.
   [[nodiscard]] ClassStats TotalStats() const;
   [[nodiscard]] std::vector<uint32_t> app_ids() const;
   [[nodiscard]] size_t num_apps() const { return apps_.size(); }
@@ -354,6 +351,7 @@ class CacheServer {
 
   ServerConfig config_;
   std::map<uint32_t, std::unique_ptr<AppCache>> apps_;
+  ClassStats retired_;  // statistics of the apps RemoveApp tore down
   std::unique_ptr<HillClimber> cross_climber_;
   // Indexed by HillClimber slot; tombstoned (nullptr) after RemoveApp until
   // a later AddApp reuses the slot.

@@ -6,55 +6,17 @@
 
 namespace cliffhanger {
 
-// Mirror of ClassStats with relaxed atomic fields, one per shard, padded to
-// a cache line so two shards' hot counters never share one (false sharing
-// would serialize otherwise independent shards).
+// One shard: its CacheServer behind its mutex. Padded to a cache line so
+// one shard's lock and op count never share a line with a neighbour's
+// (false sharing would serialize otherwise independent shards).
 struct alignas(64) ShardedCacheServer::Shard {
   mutable std::mutex mu;
   std::unique_ptr<CacheServer> server;  // guarded by mu
   // Hill-shadow hit totals per app at the last rebalance (guarded by mu).
   std::map<uint32_t, uint64_t> shadow_baseline;
-
-  // Lock-free-read statistics mirror; updated outside the shard lock.
-  std::atomic<uint64_t> ops{0};  // rebalance trigger (all op kinds)
-  std::atomic<uint64_t> gets{0};
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> sets{0};
-  std::atomic<uint64_t> tail_hits{0};
-  std::atomic<uint64_t> cliff_shadow_hits{0};
-  std::atomic<uint64_t> hill_shadow_hits{0};
-
-  [[nodiscard]] ClassStats CounterSnapshot() const {
-    ClassStats s;
-    s.gets = gets.load(std::memory_order_relaxed);
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.sets = sets.load(std::memory_order_relaxed);
-    s.tail_hits = tail_hits.load(std::memory_order_relaxed);
-    s.cliff_shadow_hits = cliff_shadow_hits.load(std::memory_order_relaxed);
-    s.hill_shadow_hits = hill_shadow_hits.load(std::memory_order_relaxed);
-    return s;
-  }
+  // Rebalance trigger (all op kinds); bumped after the lock is released.
+  std::atomic<uint64_t> ops{0};
 };
-
-namespace {
-
-// The single definition of how a Get outcome maps onto the lock-free
-// counter mirror; ShardBatch::Get and ShardBatch::GetValue both fold
-// through it.
-void MirrorGetOutcome(const Outcome& outcome, ClassStats* delta) {
-  if (!outcome.cacheable) return;
-  ++delta->gets;
-  if (outcome.hit) {
-    ++delta->hits;
-    if (outcome.region == HitRegion::kPhysicalTail) ++delta->tail_hits;
-  } else if (outcome.region == HitRegion::kCliffShadow) {
-    ++delta->cliff_shadow_hits;
-  } else if (outcome.region == HitRegion::kHillShadow) {
-    ++delta->hill_shadow_hits;
-  }
-}
-
-}  // namespace
 
 ShardedCacheServer::ShardedCacheServer(const ShardedServerConfig& config)
     : config_(config), num_shards_(std::max<size_t>(1, config.num_shards)) {
@@ -109,8 +71,8 @@ bool ShardedCacheServer::RemoveApp(uint32_t app_id) {
   return true;
 }
 
-// The routed verbs are one-op ShardBatches: one lock, counter-mirroring and
-// rebalance-cadence discipline for every op, batched or not.
+// The routed verbs are one-op ShardBatches: one lock and rebalance-cadence
+// discipline for every op, batched or not.
 
 Outcome ShardedCacheServer::Get(uint32_t app_id, const ItemMeta& item) {
   return BeginBatch(ShardForKey(item.key)).Get(app_id, item);
@@ -126,11 +88,6 @@ bool ShardedCacheServer::Touch(uint32_t app_id, const ItemMeta& item) {
 
 void ShardedCacheServer::Delete(uint32_t app_id, const ItemMeta& item) {
   BeginBatch(ShardForKey(item.key)).Delete(app_id, item);
-}
-
-Outcome ShardedCacheServer::Mutate(uint32_t app_id, MutateOp op,
-                                   const ItemMeta& item) {
-  return BeginBatch(ShardForKey(item.key)).Mutate(app_id, op, item);
 }
 
 ValueOutcome ShardedCacheServer::GetValue(uint32_t app_id, uint64_t key,
@@ -192,19 +149,16 @@ ShardedCacheServer::ShardBatch::ShardBatch(ShardBatch&& other) noexcept
       shard_(other.shard_),
       shard_index_(other.shard_index_),
       lock_(std::move(other.lock_)),
-      delta_(other.delta_),
       ops_(other.ops_) {
   other.owner_ = nullptr;
 }
 
 ShardedCacheServer::ShardBatch::~ShardBatch() {
   if (owner_ == nullptr) return;
-  // Release the shard lock, then publish the counter deltas, then advance
-  // the rebalance cadence (which may run Rebalance() — it takes apps_mu_
-  // plus every shard lock, so it must never run while this batch still
-  // holds one).
+  // Release the shard lock, then advance the rebalance cadence (which may
+  // run Rebalance() — it takes apps_mu_ plus every shard lock, so it must
+  // never run while this batch still holds one).
   if (lock_.owns_lock()) lock_.unlock();
-  owner_->PublishDelta(*shard_, delta_);
   owner_->BumpOpCount(*shard_, ops_);
 }
 
@@ -212,12 +166,16 @@ void ShardedCacheServer::ShardBatch::Unlock() {
   if (lock_.owns_lock()) lock_.unlock();
 }
 
+bool ShardedCacheServer::ShardBatch::HasApp(uint32_t app_id) const {
+  assert(lock_.owns_lock());
+  return shard_->server->app(app_id) != nullptr;
+}
+
 Outcome ShardedCacheServer::ShardBatch::Get(uint32_t app_id,
                                             const ItemMeta& item) {
   assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const Outcome outcome = shard_->server->Get(app_id, item);
-  MirrorGetOutcome(outcome, &delta_);
   ++ops_;
   return outcome;
 }
@@ -227,7 +185,6 @@ bool ShardedCacheServer::ShardBatch::Set(uint32_t app_id,
   assert(lock_.owns_lock());
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const bool counted = shard_->server->Set(app_id, item);
-  if (counted) ++delta_.sets;
   ++ops_;
   return counted;
 }
@@ -249,23 +206,6 @@ void ShardedCacheServer::ShardBatch::Delete(uint32_t app_id,
   ++ops_;
 }
 
-Outcome ShardedCacheServer::ShardBatch::Mutate(uint32_t app_id, MutateOp op,
-                                               const ItemMeta& item) {
-  Outcome outcome;
-  switch (op) {
-    case MutateOp::kFill:
-      outcome.cacheable = Set(app_id, item);
-      break;
-    case MutateOp::kTouch:
-      outcome.hit = Touch(app_id, item);
-      break;
-    case MutateOp::kErase:
-      Delete(app_id, item);
-      break;
-  }
-  return outcome;
-}
-
 ValueOutcome ShardedCacheServer::ShardBatch::GetValue(uint32_t app_id,
                                                       uint64_t key,
                                                       uint32_t key_size,
@@ -275,7 +215,6 @@ ValueOutcome ShardedCacheServer::ShardBatch::GetValue(uint32_t app_id,
   assert(owner_->ShardForKey(key) == shard_index_);
   const ValueOutcome vo =
       shard_->server->GetByKey(app_id, key, key_size, now_s, flush_at_s);
-  MirrorGetOutcome(vo.outcome, &delta_);
   ++ops_;
   return vo;
 }
@@ -300,7 +239,6 @@ bool ShardedCacheServer::ShardBatch::SetValue(uint32_t app_id,
   assert(owner_->ShardForKey(item.key) == shard_index_);
   const bool counted =
       shard_->server->SetValue(app_id, item, data, flags, cas);
-  if (counted) ++delta_.sets;
   ++ops_;
   return counted;
 }
@@ -312,7 +250,6 @@ ReplaceResult ShardedCacheServer::ShardBatch::ReplaceValue(
   assert(owner_->ShardForKey(key) == shard_index_);
   const ReplaceResult result = shard_->server->ReplaceValue(
       app_id, key, key_size, data, size, cas, now_s);
-  if (result == ReplaceResult::kReSlabbed) ++delta_.sets;
   ++ops_;
   return result;
 }
@@ -348,12 +285,6 @@ ShardedCacheServer::ShardBatch ShardedCacheServer::BeginBatch(
   return ShardBatch(this, shard_index);
 }
 
-ClassStats ShardedCacheServer::TotalStats() const {
-  ClassStats total;
-  for (const auto& shard : shards_) total += shard->CounterSnapshot();
-  return total;
-}
-
 std::vector<std::unique_lock<std::mutex>> ShardedCacheServer::LockAllShards()
     const {
   std::vector<std::unique_lock<std::mutex>> locks;
@@ -362,7 +293,7 @@ std::vector<std::unique_lock<std::mutex>> ShardedCacheServer::LockAllShards()
   return locks;
 }
 
-ClassStats ShardedCacheServer::MergedStats() const {
+ClassStats ShardedCacheServer::TotalStats() const {
   const auto locks = LockAllShards();
   ClassStats total;
   for (const auto& shard : shards_) total += shard->server->TotalStats();
@@ -447,23 +378,6 @@ void ShardedCacheServer::BumpOpCount(Shard& shard, uint64_t n) {
   const uint64_t prev = shard.ops.fetch_add(n, std::memory_order_relaxed);
   if ((prev + n) / interval != prev / interval) {
     Rebalance();
-  }
-}
-
-void ShardedCacheServer::PublishDelta(Shard& shard, const ClassStats& delta) {
-  if (delta.gets) shard.gets.fetch_add(delta.gets, std::memory_order_relaxed);
-  if (delta.hits) shard.hits.fetch_add(delta.hits, std::memory_order_relaxed);
-  if (delta.sets) shard.sets.fetch_add(delta.sets, std::memory_order_relaxed);
-  if (delta.tail_hits) {
-    shard.tail_hits.fetch_add(delta.tail_hits, std::memory_order_relaxed);
-  }
-  if (delta.cliff_shadow_hits) {
-    shard.cliff_shadow_hits.fetch_add(delta.cliff_shadow_hits,
-                                      std::memory_order_relaxed);
-  }
-  if (delta.hill_shadow_hits) {
-    shard.hill_shadow_hits.fetch_add(delta.hill_shadow_hits,
-                                     std::memory_order_relaxed);
   }
 }
 

@@ -13,10 +13,10 @@
 //    shards act on disjoint cache state and same-key ops always hash to the
 //    same shard, so shard-grouped execution that preserves the per-shard
 //    op order yields the same cache state as one-op routing.
-//  - Aggregate statistics are mirrored into per-shard cache-line-padded
-//    atomic counters, so TotalStats() is a lock-free read; MergedStats()
-//    and the per-app accessors take every shard lock (in index order) for
-//    an exact, mutually consistent snapshot.
+//  - Statistics live in one place: each shard's CacheServer. TotalStats()
+//    and the per-app accessors take every shard lock (in index order) and
+//    sum the shards' own counters, so every snapshot is exact and mutually
+//    consistent; there is no second, lock-free copy to drift from it.
 //  - An application's reservation is split across shards (largest-remainder,
 //    so the split always sums to the registered total). A periodic rebalance
 //    re-divides each app's total in proportion to the shards' hill-shadow
@@ -63,32 +63,33 @@ class ShardedCacheServer {
   ShardedCacheServer& operator=(const ShardedCacheServer&) = delete;
 
   // Registers the app on every shard, splitting `reservation` across them.
-  // Not safe to call concurrently with traffic for the same app: finish
-  // registration before serving it (as with CacheServer::AddApp).
+  // Safe to call while traffic runs: each shard registers the app under
+  // its own lock, and until the last shard has it, ops on the shards that
+  // lack it soft-fail as an unknown app.
   void AddApp(uint32_t app_id, uint64_t reservation);
 
   // Tenant departure: removes the app from every shard (queues, shadow
   // nodes and value slots are reclaimed eagerly by the per-shard
-  // CacheServer::RemoveApp). Safe to call concurrently with traffic —
-  // in-flight ops that already routed to the app soft-fail once the shard
-  // lock serializes them behind the removal. In cross-app mode each shard
-  // redistributes the departing share to its surviving tenants (conserving
-  // the shard total) and the registered app totals are refreshed from the
-  // live shard sums so the next Rebalance cannot claw the windfall back.
+  // CacheServer::RemoveApp, which also retires the app's statistics into
+  // the shard's cumulative TotalStats). Safe to call concurrently with
+  // traffic — in-flight ops that already routed to the app soft-fail once
+  // the shard lock serializes them behind the removal. In cross-app mode
+  // each shard redistributes the departing share to its surviving tenants
+  // (conserving the shard total) and the registered app totals are
+  // refreshed from the live shard sums so the next Rebalance cannot claw
+  // the windfall back.
   // Returns false for an unknown app.
   bool RemoveApp(uint32_t app_id);
 
   // Thread-safe routed operations, each a one-op ShardBatch on the key's
-  // shard; the app must have been added. Set returns true when the item was
-  // cacheable (same as CacheServer::Set).
-  // Touch refreshes expiry + recency of a resident item (no statistics
-  // mutation); Mutate is the op-based surface (kFill/kTouch/kErase, see
-  // cache/types.h) for drivers carrying an op stream.
+  // shard; ops for an unknown app soft-fail (CacheServer's routed verbs).
+  // Set returns true when the item was cacheable (same as
+  // CacheServer::Set). Touch refreshes expiry + recency of a resident item
+  // (no statistics mutation).
   Outcome Get(uint32_t app_id, const ItemMeta& item);
   bool Set(uint32_t app_id, const ItemMeta& item);
   bool Touch(uint32_t app_id, const ItemMeta& item);
   void Delete(uint32_t app_id, const ItemMeta& item);
-  Outcome Mutate(uint32_t app_id, MutateOp op, const ItemMeta& item);
 
   // Value-mode routed verbs (ServerConfig::store_values; see the AppCache
   // declarations for semantics). NOTE on GetValue/PeekValue lifetimes: the
@@ -115,10 +116,9 @@ class ShardedCacheServer {
   // already grouped its ops by shard pays one lock acquisition per burst
   // instead of one per op. Every key passed to a batch method MUST hash to
   // the batch's shard, and the batch must still hold its lock (both
-  // asserted in debug builds). Statistics mirroring and the rebalance
-  // cadence are deferred to the destructor, which publishes the
-  // accumulated deltas after releasing the shard lock and may fire
-  // Rebalance().
+  // asserted in debug builds). The rebalance cadence is deferred to the
+  // destructor, which adds the batch's op count after releasing the shard
+  // lock and may fire Rebalance().
   class ShardBatch {
    public:
     ~ShardBatch();
@@ -132,7 +132,11 @@ class ShardedCacheServer {
     bool Set(uint32_t app_id, const ItemMeta& item);
     bool Touch(uint32_t app_id, const ItemMeta& item);
     void Delete(uint32_t app_id, const ItemMeta& item);
-    Outcome Mutate(uint32_t app_id, MutateOp op, const ItemMeta& item);
+
+    // Whether the shard hosts `app_id` right now — the tenant registry the
+    // verbs themselves consult, read under the lock this batch holds, so
+    // the answer cannot change before the batch's next op runs.
+    [[nodiscard]] bool HasApp(uint32_t app_id) const;
 
     // Value-mode batch verbs. A ValueOutcome::view returned here stays
     // valid for exactly as long as this batch holds the shard lock AND no
@@ -155,10 +159,10 @@ class ShardedCacheServer {
 
     // Releases the shard lock early, before destruction. Borrowed views
     // die here. Required when a caller pins several batches at once and a
-    // destructor side effect (PublishDelta -> BumpOpCount -> Rebalance,
-    // which takes every shard lock) could otherwise run while sibling
-    // batches still hold theirs: Unlock() all pins first, then let the
-    // destructors run lock-free. Idempotent; no further ops are legal.
+    // destructor side effect (BumpOpCount -> Rebalance, which takes every
+    // shard lock) could otherwise run while sibling batches still hold
+    // theirs: Unlock() all pins first, then let the destructors run
+    // lock-free. Idempotent; no further ops are legal.
     void Unlock();
 
     [[nodiscard]] size_t shard_index() const { return shard_index_; }
@@ -171,8 +175,7 @@ class ShardedCacheServer {
     Shard* shard_;
     size_t shard_index_;
     std::unique_lock<std::mutex> lock_;
-    ClassStats delta_;   // counter mirror, published on destruction
-    uint64_t ops_ = 0;   // rebalance-cadence contribution
+    uint64_t ops_ = 0;  // rebalance-cadence contribution
   };
 
   // Opens a batch on one shard (locks it until the ShardBatch dies).
@@ -184,14 +187,11 @@ class ShardedCacheServer {
   }
   [[nodiscard]] const ShardedServerConfig& config() const { return config_; }
 
-  // Lock-free aggregate snapshot from the padded per-shard counters. Exact
-  // once writers are quiescent; during traffic it may trail in-flight
-  // operations by a few counts (each op updates its counters after
-  // releasing the shard lock).
+  // Exact snapshots straight from the shards' own statistics. TotalStats
+  // holds every shard lock at once, so the sum is mutually consistent; it
+  // is cumulative across tenant churn (each shard keeps the statistics of
+  // the apps RemoveApp retired), so it never goes backwards.
   [[nodiscard]] ClassStats TotalStats() const;
-  // Exact snapshots straight from the shards' own statistics. MergedStats
-  // holds every shard lock at once, so the merge is mutually consistent.
-  [[nodiscard]] ClassStats MergedStats() const;
   [[nodiscard]] ClassStats ShardStats(size_t shard) const;
 
   // Per-app views. AppStats holds every shard lock for a consistent
@@ -244,9 +244,6 @@ class ShardedCacheServer {
   // crosses a rebalance_interval_ops boundary (for n == 1 this is exactly
   // the classic "every interval-th op" trigger).
   void BumpOpCount(Shard& shard, uint64_t n = 1);
-  // fetch_adds the non-zero fields of `delta` into the shard's lock-free
-  // counter mirror. Call after releasing the shard lock.
-  void PublishDelta(Shard& shard, const ClassStats& delta);
   void RebalanceAppLocked(uint32_t app_id, uint64_t total_reservation);
   // Pre: apps_mu_ and every shard lock held. Re-reads each app's live
   // cross-shard reservation sum into app_totals_.

@@ -76,42 +76,9 @@ CacheAdapter::CacheAdapter(ShardedCacheServer* server,
   if (!config_.clock) {
     config_.clock = [] { return static_cast<uint32_t>(::time(nullptr)); };
   }
-  auto ids = std::make_shared<std::vector<uint32_t>>(server->app_ids());
-  std::sort(ids->begin(), ids->end());
-  std::atomic_store_explicit(
-      &app_ids_,
-      std::shared_ptr<const std::vector<uint32_t>>(std::move(ids)),
-      std::memory_order_release);
 }
 
 CacheAdapter::~CacheAdapter() = default;
-
-void CacheAdapter::AddApp(uint32_t app_id, uint64_t reservation) {
-  // Core first, snapshot second: a command must never route to an app the
-  // shards have not registered yet.
-  server_->AddApp(app_id, reservation);
-  auto next = std::make_shared<std::vector<uint32_t>>(*AppSnapshot());
-  next->insert(std::lower_bound(next->begin(), next->end(), app_id), app_id);
-  std::atomic_store_explicit(
-      &app_ids_,
-      std::shared_ptr<const std::vector<uint32_t>>(std::move(next)),
-      std::memory_order_release);
-}
-
-bool CacheAdapter::RemoveApp(uint32_t app_id) {
-  // Snapshot first, core second: withdraw the app from routing so new
-  // commands soft-fail at admission, then tear it down. Commands that
-  // routed against the old snapshot soft-fail inside the core instead.
-  auto next = std::make_shared<std::vector<uint32_t>>(*AppSnapshot());
-  const auto it = std::lower_bound(next->begin(), next->end(), app_id);
-  if (it == next->end() || *it != app_id) return false;
-  next->erase(it);
-  std::atomic_store_explicit(
-      &app_ids_,
-      std::shared_ptr<const std::vector<uint32_t>>(std::move(next)),
-      std::memory_order_release);
-  return server_->RemoveApp(app_id);
-}
 
 CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
   RoutedKey rk;
@@ -121,8 +88,6 @@ CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
     uint32_t prefixed = 0;
     if (ParseAppPrefix(key, &prefixed)) rk.app_id = prefixed;
   }
-  const auto ids = AppSnapshot();
-  rk.app_known = std::binary_search(ids->begin(), ids->end(), rk.app_id);
   return rk;
 }
 
@@ -174,8 +139,7 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
   }
 }
 
-bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
-                                 std::string* out) {
+void CacheAdapter::CountCommand(const Command& cmd) {
   switch (cmd.type) {
     case CommandType::kSet:
     case CommandType::kAdd:
@@ -184,7 +148,33 @@ bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
     case CommandType::kAppend:
     case CommandType::kPrepend:
       cmd_set_.fetch_add(1, std::memory_order_relaxed);
-      if (rk.app_known) return true;
+      break;
+    case CommandType::kTouch:
+      cmd_touch_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case CommandType::kDelete:
+      cmd_delete_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    default:
+      break;
+  }
+}
+
+void CacheAdapter::RejectUnknownApp(const Command& cmd, std::string* out) {
+  switch (cmd.type) {
+    case CommandType::kGet:
+    case CommandType::kGets:
+      // The slot stays empty: an unknown app's key is a miss.
+      get_misses_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case CommandType::kSet:
+    case CommandType::kAdd:
+    case CommandType::kReplace:
+    case CommandType::kCas:
+    case CommandType::kAppend:
+    case CommandType::kPrepend:
+      // Checked before any size or presence test, so it wins over "too
+      // large", and no cas is minted.
       store_rejected_.fetch_add(1, std::memory_order_relaxed);
       if (cmd.type == CommandType::kCas) {
         cas_misses_.fetch_add(1, std::memory_order_relaxed);
@@ -192,28 +182,19 @@ bool CacheAdapter::CountAndAdmit(const Command& cmd, const RoutedKey& rk,
       if (!cmd.noreply) {
         AppendErrorLine(out, "SERVER_ERROR unknown application");
       }
-      return false;
+      return;
     case CommandType::kIncr:
     case CommandType::kDecr:
-      if (rk.app_known) return true;
       (cmd.type == CommandType::kIncr ? incr_misses_ : decr_misses_)
           .fetch_add(1, std::memory_order_relaxed);
-      if (!cmd.noreply) out->append(kNotFoundLine);
-      return false;
+      break;
     case CommandType::kTouch:
-      cmd_touch_.fetch_add(1, std::memory_order_relaxed);
-      if (rk.app_known) return true;
       touch_misses_.fetch_add(1, std::memory_order_relaxed);
-      if (!cmd.noreply) out->append(kNotFoundLine);
-      return false;
-    case CommandType::kDelete:
-      cmd_delete_.fetch_add(1, std::memory_order_relaxed);
-      if (rk.app_known) return true;
-      if (!cmd.noreply) out->append(kNotFoundLine);
-      return false;
-    default:
-      return true;
+      break;
+    default:  // kDelete
+      break;
   }
+  if (!cmd.noreply) out->append(kNotFoundLine);
 }
 
 void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
@@ -494,9 +475,9 @@ void CacheAdapter::AppendStats(std::string* out) {
   AppendStat(out, "bytes_read", c.bytes_read);
   AppendStat(out, "bytes_written", c.bytes_written);
 
-  // The paper's signals, straight from the core (exact snapshot: MergedStats
-  // holds every shard lock at once).
-  const ClassStats core = server_->MergedStats();
+  // The paper's signals, straight from the core (exact snapshot: TotalStats
+  // holds every shard lock at once, and keeps departed apps' history).
+  const ClassStats core = server_->TotalStats();
   AppendStat(out, "cliffhanger_gets", core.gets);
   AppendStat(out, "cliffhanger_hits", core.hits);
   AppendStat(out, "cliffhanger_sets", core.sets);
@@ -513,7 +494,7 @@ void CacheAdapter::AppendStats(std::string* out) {
                static_cast<uint64_t>(use.chunk_size));
     AppendStat(out, prefix + ":used_chunks", use.used_chunks);
   }
-  for (const uint32_t app_id : *AppSnapshot()) {
+  for (const uint32_t app_id : server_->app_ids()) {
     std::string name = "app_" + std::to_string(app_id) + "_reservation_bytes";
     AppendStat(out, name, server_->AppReservation(app_id));
   }
@@ -568,6 +549,13 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
                                    const BurstOp& op, ResponseSegment* seg,
                                    bool pinned) {
   const Command& cmd = *op.cmd;
+  // The tenant check reads the shard's own registry under the lock this op
+  // already holds, so an app added or removed on the core takes effect
+  // here with no second copy to keep in sync.
+  if (!core.HasApp(op.rk.app_id)) {
+    RejectUnknownApp(cmd, &seg->text);
+    return;
+  }
   switch (cmd.type) {
     case CommandType::kGet:
     case CommandType::kGets:
@@ -607,11 +595,10 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                                      std::vector<ResponseSegment>* segments,
                                      size_t* used, bool pinned) {
   // Collection: expand commands into shard-routed ops and claim their
-  // response slots in stream order. Admission (unknown app) and the
-  // command counters run here, before any lock; Now() is read once per
-  // command, in command order. Thread-local so the steady-state burst cycle
-  // reuses its capacity and stays off the allocator (each worker runs its
-  // own bursts).
+  // response slots in stream order. The command counters run here, before
+  // any lock; Now() is read once per command, in command order.
+  // Thread-local so the steady-state burst cycle reuses its capacity and
+  // stays off the allocator (each worker runs its own bursts).
   static thread_local std::vector<BurstOp> ops;
   ops.clear();
   ops.reserve(count);
@@ -623,10 +610,6 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
         cmd_get_.fetch_add(1, std::memory_order_relaxed);
         ClaimSlot(segments, used);
         const RoutedKey rk = Route(cmd.keys[k]);
-        if (!rk.app_known) {
-          get_misses_.fetch_add(1, std::memory_order_relaxed);
-          continue;  // slot stays empty: an unknown app's key is a miss
-        }
         ops.push_back(BurstOp{&cmd, k, *used - 1, now, rk,
                               server_->ShardForKey(rk.key_id)});
       }
@@ -635,9 +618,9 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
       ClaimSlot(segments, used).text.append(kEndLine);
       continue;
     }
-    ResponseSegment& seg = ClaimSlot(segments, used);
+    ClaimSlot(segments, used);
+    CountCommand(cmd);
     const RoutedKey rk = Route(cmd.key());
-    if (!CountAndAdmit(cmd, rk, &seg.text)) continue;
     ops.push_back(BurstOp{&cmd, 0, *used - 1, now, rk,
                           server_->ShardForKey(rk.key_id)});
   }
@@ -668,8 +651,7 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
   // pinned run the batches are parked — in ascending shard order, which
   // keeps concurrent pinning workers deadlock-free — so the zero-copy
   // payload spans stay valid until ReleaseBurstPins(); otherwise
-  // ~ShardBatch publishes the counter deltas and bumps the rebalance
-  // cadence here.
+  // ~ShardBatch bumps the rebalance cadence here.
   size_t begin = 0;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     const size_t end = bucket[shard];
@@ -713,8 +695,8 @@ bool CacheAdapter::HandleBatch(const Command* cmds, size_t count,
 }
 
 void CacheAdapter::ReleaseBurstPins() {
-  // Unlock every pinned batch before destroying any: a destructor may
-  // publish deltas and fire Rebalance(), which takes all shard locks.
+  // Unlock every pinned batch before destroying any: a destructor may fire
+  // Rebalance(), which takes all shard locks.
   for (ShardedCacheServer::ShardBatch& batch : t_burst_pins) batch.Unlock();
   t_burst_pins.clear();
 }

@@ -14,9 +14,14 @@
 //    collisions alias two text keys to one cache slot (last writer wins);
 //    at memcached-realistic key counts the probability is negligible.
 //  - App routing. Keys of the form "app<digits>:<rest>" route to that
-//    registered application; everything else goes to the default app (the
-//    listen port's tenant). Ops for unregistered apps fail softly (miss /
-//    SERVER_ERROR) rather than mutating anything.
+//    application; everything else goes to the default app (the listen
+//    port's tenant). Whether the app exists is decided by the core alone:
+//    each op asks its shard's own tenant registry under the shard lock it
+//    already holds (ShardBatch::HasApp), so apps added to or removed from
+//    the core while traffic runs take effect on the next op, with no
+//    adapter-side copy of the tenant list. Ops for unregistered apps fail
+//    softly (miss / NOT_FOUND / SERVER_ERROR) rather than mutating
+//    anything.
 //  - Presence. add/replace/cas/incr/decr/append/prepend/touch decide
 //    presence from the core directly (PeekValue: resident, unexpired,
 //    unflushed — statistics-neutral). There is no window between an
@@ -56,7 +61,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,8 +97,8 @@ struct CacheAdapterConfig {
 class CacheAdapter final : public CommandHandler {
  public:
   // `server` must be constructed with ServerConfig::store_values = true
-  // and outlive the adapter; its apps must be registered before traffic
-  // starts (same contract as ShardedCacheServer::AddApp).
+  // and outlive the adapter. Tenants are managed on the server itself
+  // (ShardedCacheServer::AddApp / RemoveApp), before or during traffic.
   CacheAdapter(ShardedCacheServer* server, const CacheAdapterConfig& config);
   ~CacheAdapter() override;
   CacheAdapter(const CacheAdapter&) = delete;
@@ -119,16 +123,6 @@ class CacheAdapter final : public CommandHandler {
   // Must run on the thread that called HandleBatch, after the segments
   // are flushed (the socket server's burst cycle guarantees both).
   void ReleaseBurstPins() override;
-
-  // Tenant lifecycle on the daemon path. AddApp registers the app on the
-  // core server and publishes it to the routing snapshot; RemoveApp
-  // withdraws it from routing first, then tears it down in the core (the
-  // core's routed verbs soft-fail any op that already routed). Both swap
-  // the immutable app-id snapshot atomically, so concurrent connection
-  // threads keep routing against a consistent list with no locks on the
-  // hot path. Serialize lifecycle calls themselves (one admin caller).
-  void AddApp(uint32_t app_id, uint64_t reservation);
-  bool RemoveApp(uint32_t app_id);
 
   // Protocol-level counters (what `stats` reports, memcached names).
   struct Counters {
@@ -163,7 +157,6 @@ class CacheAdapter final : public CommandHandler {
   struct RoutedKey {
     uint32_t app_id = 0;
     uint64_t key_id = 0;
-    bool app_known = false;
   };
 
   [[nodiscard]] RoutedKey Route(std::string_view key) const;
@@ -175,16 +168,18 @@ class CacheAdapter final : public CommandHandler {
     return flush_at_s_.load(std::memory_order_relaxed);
   }
 
-  // Counts the command and, when its app is unknown, emits the verb's
-  // soft-failure response (runs at burst collection, before any lock).
-  // Returns true when the command should proceed to its shard op.
-  bool CountAndAdmit(const Command& cmd, const RoutedKey& rk,
-                     std::string* out);
+  // Adds a non-get command to its memcached `cmd_*` total (burst
+  // collection, before any lock; get keys count per key there).
+  void CountCommand(const Command& cmd);
+  // Counts and answers an op whose app the shard does not host: a get key
+  // is a miss, a store is SERVER_ERROR unknown application (no cas is
+  // minted), incr/decr/touch/delete are NOT_FOUND.
+  void RejectUnknownApp(const Command& cmd, std::string* out);
 
   // Locked per-op executors: the memcached semantics of one operation,
   // expressed over the core value verbs through the burst's open
-  // ShardBatch for rk's shard. Pre for all: rk.app_known true,
-  // CountAndAdmit (or the per-key get admission) already ran.
+  // ShardBatch for rk's shard. Pre for all: the shard hosts rk.app_id
+  // (ExecuteOpLocked checks ShardBatch::HasApp first).
   //
   // GetKeyLocked serves a hit either zero-copy (`zc` non-null: the VALUE
   // header goes into zc->text and the payload span borrows the arena
@@ -222,18 +217,8 @@ class CacheAdapter final : public CommandHandler {
   bool HandleBarrier(const Command& cmd, std::string* out);
   void AppendStats(std::string* out);
 
-  // The registered-app list as an immutable, atomically swapped snapshot:
-  // Route() loads it lock-free per command; AddApp/RemoveApp publish a new
-  // sorted vector. (std::atomic_load/store on shared_ptr — the tools this
-  // toolchain's libstdc++ offers; atomic<shared_ptr> is C++20.)
-  [[nodiscard]] std::shared_ptr<const std::vector<uint32_t>> AppSnapshot()
-      const {
-    return std::atomic_load_explicit(&app_ids_, std::memory_order_acquire);
-  }
-
   ShardedCacheServer* server_;
   CacheAdapterConfig config_;
-  std::shared_ptr<const std::vector<uint32_t>> app_ids_;  // sorted
 
   std::atomic<uint64_t> cas_counter_{0};
   // flush_all point: items stored before it are dead once now reaches it.

@@ -180,7 +180,7 @@ TEST(GlobalLogExpiry, LazyExpiryAndTouch) {
   EXPECT_TRUE(q.Get(At(2, UINT32_MAX)).hit);
 }
 
-// --- Core: Mutate surface + statistics discipline -------------------------
+// --- Core: Set/Touch/Delete verbs + statistics discipline -----------------
 
 TEST(CoreExpiry, ExpiredGetCountsAsMissAndTouchCountsNothing) {
   ServerConfig config;
@@ -205,15 +205,15 @@ TEST(CoreExpiry, ExpiredGetCountsAsMissAndTouchCountsNothing) {
   EXPECT_EQ(after.hits, before.hits);
 }
 
-TEST(CoreExpiry, MutateOpsMapToTheVerbs) {
+TEST(CoreExpiry, SetTouchDeleteVerbsReportResidency) {
   ServerConfig config;
   CacheServer server(config);
   server.AddApp(1, 1 << 20);
 
-  EXPECT_TRUE(server.Mutate(1, MutateOp::kFill, At(7, 100, 0)).cacheable);
-  EXPECT_TRUE(server.Mutate(1, MutateOp::kTouch, At(7, 100, 150)).hit);
-  EXPECT_FALSE(server.Mutate(1, MutateOp::kTouch, At(8, 100, 150)).hit);
-  server.Mutate(1, MutateOp::kErase, At(7, 100));
+  EXPECT_TRUE(server.Set(1, At(7, 100, 0)));
+  EXPECT_TRUE(server.Touch(1, At(7, 100, 150)));
+  EXPECT_FALSE(server.Touch(1, At(8, 100, 150)));
+  server.Delete(1, At(7, 100));
   EXPECT_FALSE(server.Get(1, At(7, 100)).hit);
 }
 
@@ -225,7 +225,7 @@ TEST(CoreExpiry, TouchNeverMaterializesAClass) {
   EXPECT_TRUE(app.ClassInfos().empty());
 }
 
-TEST(ShardedExpiry, TouchAndMutateRouteThroughShards) {
+TEST(ShardedExpiry, TouchRoutesThroughShards) {
   ShardedServerConfig config;
   config.server = ServerConfig{};
   config.num_shards = 4;
@@ -245,14 +245,19 @@ TEST(ShardedExpiry, TouchAndMutateRouteThroughShards) {
     alive += server.Get(1, At(k, 110)).hit ? 1 : 0;
   }
   EXPECT_EQ(alive, 32u);
-  // Touch left the mirrored set/get counters consistent with MergedStats.
-  const ClassStats merged = server.MergedStats();
+  // Touch moved no get/set statistics: the server total and the per-shard
+  // sum both count exactly the 64 sets and 64 gets.
   const ClassStats total = server.TotalStats();
-  EXPECT_EQ(merged.gets, total.gets);
-  EXPECT_EQ(merged.sets, total.sets);
-  EXPECT_EQ(merged.hits, total.hits);
-  EXPECT_EQ(merged.gets, 64u);
-  EXPECT_EQ(merged.hits, 32u);
+  ClassStats per_shard_sum;
+  for (size_t i = 0; i < server.num_shards(); ++i) {
+    per_shard_sum += server.ShardStats(i);
+  }
+  EXPECT_EQ(per_shard_sum.gets, total.gets);
+  EXPECT_EQ(per_shard_sum.sets, total.sets);
+  EXPECT_EQ(per_shard_sum.hits, total.hits);
+  EXPECT_EQ(total.sets, 64u);
+  EXPECT_EQ(total.gets, 64u);
+  EXPECT_EQ(total.hits, 32u);
 }
 
 // --- Simulator: the trace's virtual time is the expiry clock --------------

@@ -143,7 +143,7 @@ TEST_P(HotPathAllocTest, SteadyStateGetSetAllocatesNothing) {
   EXPECT_GT(vs.value_bytes, 0u);
   EXPECT_LT(vs.tracked_keys, static_cast<uint64_t>(HotPathRig::kKeys) +
                                  1);  // bounded by keyset
-  const ClassStats stats = rig.server.MergedStats();
+  const ClassStats stats = rig.server.TotalStats();
   EXPECT_GT(stats.gets, 0u);
   EXPECT_LT(stats.hits, stats.gets);
 }

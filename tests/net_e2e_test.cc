@@ -568,6 +568,64 @@ TEST_P(NetE2eTest, AppPrefixRoutesToRegisteredApps) {
   EXPECT_FALSE(client.Get("app9:k").has_value());
 }
 
+// Tenants are managed on the core alone: an app the core gains while the
+// server runs is served on its next command, and an app the core loses is
+// rejected at once — its store neither answers STORED nor counts bytes.
+TEST_P(NetE2eTest, CoreTenantChangesTakeEffectOnTheWire) {
+  ShardedServerConfig config;
+  config.server = DefaultServerConfig();
+  config.num_shards = 4;
+  StartServer(config, {{1, 4 * kMiB}, {2, 4 * kMiB}}, 1);
+  net::AsciiClient client = MakeClient();
+
+  // Non-fatal checks throughout, so a failure in the first half still
+  // runs the second.
+  server_->AddApp(3, 4 * kMiB);
+  EXPECT_EQ(client.Set("app3:k", "new"),
+            net::AsciiClient::StoreResult::kStored);
+  const auto fresh = client.Get("app3:k");
+  EXPECT_TRUE(fresh.has_value() && fresh->data == "new");
+  EXPECT_EQ(server_->AppStats(3).sets, 1u);
+  EXPECT_EQ(client.Stats()["app_3_reservation_bytes"],
+            std::to_string(4 * kMiB));
+
+  ASSERT_EQ(client.Set("app2:k", "old"),
+            net::AsciiClient::StoreResult::kStored);
+  ASSERT_TRUE(server_->RemoveApp(2));
+  const std::string bytes_read = client.Stats().at("bytes_read");
+  std::string line;
+  EXPECT_TRUE(client.SendRaw("set app2:k 0 0 1\r\nx\r\n"));
+  EXPECT_TRUE(client.ReadLine(&line));
+  EXPECT_EQ(line, "SERVER_ERROR unknown application");
+  EXPECT_FALSE(client.Get("app2:k").has_value());
+  const auto stats = client.Stats();
+  EXPECT_EQ(stats.at("bytes_read"), bytes_read);
+  EXPECT_EQ(stats.count("app_2_reservation_bytes"), 0u);
+}
+
+// The core counters `stats` reports are cumulative: a tenant's departure
+// must not take its history out of cliffhanger_gets/hits/sets.
+TEST_P(NetE2eTest, StatsCoreCountersSurviveTenantRemoval) {
+  ShardedServerConfig config;
+  config.server = DefaultServerConfig();
+  config.num_shards = 4;
+  StartServer(config, {{1, 4 * kMiB}, {2, 4 * kMiB}}, 1);
+  net::AsciiClient client = MakeClient();
+  for (int i = 0; i < 32; ++i) {
+    const std::string key = "app2:k" + std::to_string(i);
+    ASSERT_EQ(client.Set(key, "v"), net::AsciiClient::StoreResult::kStored);
+    ASSERT_TRUE(client.Get(key).has_value());
+  }
+  const auto before = client.Stats();
+  ASSERT_EQ(before.at("cliffhanger_gets"), "32");
+
+  ASSERT_TRUE(server_->RemoveApp(2));
+  const auto after = client.Stats();
+  EXPECT_EQ(after.at("cliffhanger_gets"), before.at("cliffhanger_gets"));
+  EXPECT_EQ(after.at("cliffhanger_hits"), before.at("cliffhanger_hits"));
+  EXPECT_EQ(after.at("cliffhanger_sets"), before.at("cliffhanger_sets"));
+}
+
 TEST_P(NetE2eTest, ManyConnectionsHammerConcurrently) {
   StartDefaultServer();
   constexpr int kThreads = 8;
@@ -1287,8 +1345,8 @@ TEST_P(NetE2eTest, SocketReplayIsBitIdenticalToLibraryReplay) {
 
   EXPECT_EQ(socket_hits, library_hits);
   EXPECT_EQ(value_mismatches, 0u);
-  ExpectStatsEqual(server_->MergedStats(), library_server.MergedStats(),
-                   "merged");
+  ExpectStatsEqual(server_->TotalStats(), library_server.TotalStats(),
+                   "total");
   ExpectStatsEqual(server_->AppStats(kApp), library_server.AppStats(kApp),
                    "app");
   for (size_t shard = 0; shard < config.num_shards; ++shard) {
@@ -1297,10 +1355,10 @@ TEST_P(NetE2eTest, SocketReplayIsBitIdenticalToLibraryReplay) {
   }
   // The workload must actually have exercised eviction + shadow machinery,
   // or the equality above proves nothing.
-  const ClassStats merged = server_->MergedStats();
-  EXPECT_GT(merged.gets, 0u);
-  EXPECT_LT(merged.hits, merged.gets);
-  EXPECT_GT(merged.hill_shadow_hits + merged.cliff_shadow_hits, 0u);
+  const ClassStats total = server_->TotalStats();
+  EXPECT_GT(total.gets, 0u);
+  EXPECT_LT(total.hits, total.gets);
+  EXPECT_GT(total.hill_shadow_hits + total.cliff_shadow_hits, 0u);
 }
 
 // --- The full-verb determinism test ---------------------------------------
@@ -1747,8 +1805,8 @@ TEST_P(NetE2eTest, FullVerbSocketReplayIsBitIdenticalToLibraryReplay) {
         << static_cast<int>(script[i].verb) << ", key " << script[i].key
         << ", now " << script[i].now_s << ")";
   }
-  ExpectStatsEqual(server_->MergedStats(), library_server.MergedStats(),
-                   "merged");
+  ExpectStatsEqual(server_->TotalStats(), library_server.TotalStats(),
+                   "total");
   ExpectStatsEqual(server_->AppStats(kApp), library_server.AppStats(kApp),
                    "app");
   for (size_t shard = 0; shard < config.num_shards; ++shard) {
@@ -1761,9 +1819,9 @@ TEST_P(NetE2eTest, FullVerbSocketReplayIsBitIdenticalToLibraryReplay) {
   // fresh and stale cas, arithmetic (incl. the non-numeric error), touch
   // hits, splices and deletes.
   const auto c = adapter_->counters();
-  const ClassStats merged = server_->MergedStats();
-  EXPECT_LT(merged.hits, merged.gets);
-  EXPECT_GT(merged.hill_shadow_hits + merged.cliff_shadow_hits, 0u);
+  const ClassStats total = server_->TotalStats();
+  EXPECT_LT(total.hits, total.gets);
+  EXPECT_GT(total.hill_shadow_hits + total.cliff_shadow_hits, 0u);
   EXPECT_GT(c.get_expired, 0u);
   EXPECT_GT(c.cas_hits, 0u);
   EXPECT_GT(c.cas_badval, 0u);

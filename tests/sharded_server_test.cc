@@ -3,8 +3,8 @@
 // the `concurrency` ctest label), then the test asserts the invariants that
 // concurrency must not break:
 //   - every cacheable operation is counted exactly once (no lost updates),
-//   - the lock-free TotalStats equals the exact MergedStats equals the sum
-//     of the per-shard snapshots,
+//   - TotalStats equals the sum of the per-shard snapshots and the sum of
+//     the per-app snapshots, and stays cumulative across tenant removal,
 //   - every app's reservation stays conserved across shards even while the
 //     shadow-signal rebalancer is re-dividing it.
 #include <gtest/gtest.h>
@@ -135,9 +135,8 @@ TEST(ShardedServerTest, ConcurrentHammerKeepsInvariants) {
   EXPECT_GT(total.hits, 0u);
   EXPECT_LT(total.hits, total.gets);
 
-  // The lock-free counters, the exact merged snapshot, the per-shard sums
-  // and the per-app sums all agree once writers are quiescent.
-  ExpectStatsEqual(total, server.MergedStats(), "total vs merged");
+  // The server total, the per-shard sums and the per-app sums all agree
+  // once writers are quiescent.
   ClassStats per_shard_sum;
   for (size_t i = 0; i < server.num_shards(); ++i) {
     per_shard_sum += server.ShardStats(i);
@@ -157,12 +156,10 @@ TEST(ShardedServerTest, ConcurrentHammerKeepsInvariants) {
   EXPECT_EQ(SumShardReservations(server, kAppB), kReservationB);
 }
 
-// Readers taking lock-free and locking snapshots race the writers; under
-// ThreadSanitizer this validates the snapshot paths, and the monotonicity
-// of the lock-free gets counter is asserted directly. (No cross-counter
-// assertion: the mirror counters are independent relaxed atomics, so a
-// reader on weakly-ordered hardware may see hits/gets increments of one
-// operation in either order.)
+// Readers taking snapshots race the writers; under ThreadSanitizer this
+// validates the snapshot paths. TotalStats holds every shard lock, so each
+// snapshot is mutually consistent: gets never decrease and hits never
+// exceed gets.
 TEST(ShardedServerTest, SnapshotsAreSafeAndMonotonicDuringTraffic) {
   constexpr size_t kWriters = 2;
   constexpr size_t kOpsPerThread = 15000;
@@ -178,12 +175,12 @@ TEST(ShardedServerTest, SnapshotsAreSafeAndMonotonicDuringTraffic) {
     uint64_t last_gets = 0;
     while (!done.load(std::memory_order_acquire)) {
       const ClassStats total = server.TotalStats();
-      if (total.gets < last_gets) {
+      if (total.gets < last_gets || total.hits > total.gets) {
         failed.store(true);
         break;
       }
       last_gets = total.gets;
-      (void)server.MergedStats();
+      (void)server.AppStats(kAppB);
       (void)server.AppReservation(kAppA);
       (void)server.rebalance_count();
     }
@@ -241,11 +238,33 @@ struct GetOp {
   uint32_t app_id;
   ItemMeta item;
 };
+// The mutation verbs a scripted stream mixes, applied through Apply().
+enum class Mutation : uint8_t { kSet, kTouch, kDelete };
 struct MutationOp {
   uint32_t app_id;
-  MutateOp op;
+  Mutation op;
   ItemMeta item;
 };
+
+// Runs one mutation on a ShardedCacheServer or a ShardBatch, folding the
+// verb's result into an Outcome: Set's admission into `cacheable`, Touch's
+// residency into `hit`.
+template <typename Target>
+Outcome Apply(Target& target, const MutationOp& m) {
+  Outcome outcome;
+  switch (m.op) {
+    case Mutation::kSet:
+      outcome.cacheable = target.Set(m.app_id, m.item);
+      break;
+    case Mutation::kTouch:
+      outcome.hit = target.Touch(m.app_id, m.item);
+      break;
+    case Mutation::kDelete:
+      target.Delete(m.app_id, m.item);
+      break;
+  }
+  return outcome;
+}
 
 // Runs ops[0, count) grouped by shard through BeginBatch, one batch per
 // shard touched. The grouping is stable, so same-shard (and therefore
@@ -274,13 +293,12 @@ void RunGroupedByShard(ShardedCacheServer& server, const std::vector<Op>& ops,
 }
 
 // Two identical servers replay the same scripted op stream, one through the
-// routed Get/Mutate calls and one through shard-grouped BeginBatch bursts of
-// awkward sizes. Batching groups ops by shard but must change nothing
+// routed Get/Set/Touch/Delete calls and one through shard-grouped BeginBatch
+// bursts of awkward sizes. Batching groups ops by shard but must change nothing
 // observable: every per-op Outcome, and the counters at every aggregation
 // level, must be bit-identical. Rebalance is off because the batched path
-// intentionally defers the op-count bump to burst end; with a nonzero
-// interval the rebalance would land mid-burst on one side and post-burst on
-// the other.
+// intentionally defers the op-count bump to burst end; with a nonzero interval
+// the rebalance would land mid-burst on one side and post-burst on the other.
 TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
   const ShardedServerConfig config =
       HammerConfig(/*num_shards=*/4, /*rebalance_interval=*/0);
@@ -309,9 +327,9 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
       const ItemMeta item = MakeItem(zipf.Sample(rng));
       if (mutate_round) {
         const uint64_t pick = rng.NextBounded(10);
-        const MutateOp op = pick < 7   ? MutateOp::kFill
-                            : pick < 9 ? MutateOp::kTouch
-                                       : MutateOp::kErase;
+        const Mutation op = pick < 7   ? Mutation::kSet
+                            : pick < 9 ? Mutation::kTouch
+                                       : Mutation::kDelete;
         mutations.push_back({app, op, item});
       } else {
         gets.push_back({app, item});
@@ -322,11 +340,10 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
       RunGroupedByShard(batched, mutations,
                         [&](ShardedCacheServer::ShardBatch& batch,
                             const MutationOp& m, size_t i) {
-                          batch_out[i] = batch.Mutate(m.app_id, m.op, m.item);
+                          batch_out[i] = Apply(batch, m);
                         });
       for (size_t i = 0; i < mutations.size(); ++i) {
-        const Outcome seq_out = sequential.Mutate(
-            mutations[i].app_id, mutations[i].op, mutations[i].item);
+        const Outcome seq_out = Apply(sequential, mutations[i]);
         EXPECT_EQ(batch_out[i].hit, seq_out.hit) << "round " << round;
         EXPECT_EQ(batch_out[i].cacheable, seq_out.cacheable)
             << "round " << round;
@@ -347,7 +364,7 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
     }
   }
 
-  ExpectStatsEqual(sequential.MergedStats(), batched.MergedStats(), "merged");
+  ExpectStatsEqual(sequential.TotalStats(), batched.TotalStats(), "total");
   ExpectStatsEqual(sequential.AppStats(kAppA), batched.AppStats(kAppA),
                    "appA");
   ExpectStatsEqual(sequential.AppStats(kAppB), batched.AppStats(kAppB),
@@ -358,15 +375,15 @@ TEST(ShardedServerTest, BatchedOpsMatchSequentialBitExactly) {
   }
   // The stream must actually have exercised misses and shadow traffic for
   // the equality to mean anything.
-  const ClassStats merged = batched.MergedStats();
-  EXPECT_GT(merged.gets, 0u);
-  EXPECT_LT(merged.hits, merged.gets);
+  const ClassStats total = batched.TotalStats();
+  EXPECT_GT(total.gets, 0u);
+  EXPECT_LT(total.hits, total.gets);
 }
 
 // Concurrent batch hammer: several threads push overlapping batches at one
-// server (the TSan job sanitizes this via the `concurrency` label). The
-// per-burst counter deltas published at batch end must not lose updates:
-// the exact MergedStats tally has to equal the sum of what threads issued.
+// server (the TSan job sanitizes this via the `concurrency` label). No
+// batched op may be lost: the exact TotalStats tally has to equal the sum
+// of what threads issued.
 TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
   ShardedCacheServer server(HammerConfig(/*num_shards=*/4,
                                          /*rebalance_interval=*/2048));
@@ -403,13 +420,13 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
         fills.clear();
         for (size_t i = 0; i < gets.size(); ++i) {
           if (!outcomes[i].hit) {
-            fills.push_back({gets[i].app_id, MutateOp::kFill, gets[i].item});
+            fills.push_back({gets[i].app_id, Mutation::kSet, gets[i].item});
           }
         }
         RunGroupedByShard(server, fills,
                           [&](ShardedCacheServer::ShardBatch& batch,
                               const MutationOp& m, size_t i) {
-                            outcomes[i] = batch.Mutate(m.app_id, m.op, m.item);
+                            outcomes[i] = Apply(batch, m);
                           });
       }
       issued_gets.fetch_add(local_gets);
@@ -417,10 +434,40 @@ TEST(ShardedServerTest, ConcurrentBatchesKeepCountersExact) {
   }
   for (auto& thread : threads) thread.join();
 
-  const ClassStats merged = server.MergedStats();
-  EXPECT_EQ(merged.gets, issued_gets.load());
+  EXPECT_EQ(server.TotalStats().gets, issued_gets.load());
   EXPECT_EQ(SumShardReservations(server, kAppA), kReservationA);
   EXPECT_EQ(SumShardReservations(server, kAppB), kReservationB);
+}
+
+// A departing tenant's history stays in the server total: each shard folds
+// the removed app's statistics into its retired total, so TotalStats (and
+// the `stats` counters read from it) never go backwards across churn.
+TEST(ShardedServerTest, TotalStatsSurviveRemoveApp) {
+  ShardedCacheServer server(HammerConfig(/*num_shards=*/4,
+                                         /*rebalance_interval=*/0));
+  server.AddApp(kAppA, kReservationA);
+  server.AddApp(kAppB, kReservationB);
+  const ZipfTable zipf(5000, 0.9);
+  Rng rng(0x5EED);
+  for (int i = 0; i < 20000; ++i) {
+    const uint32_t app = rng.NextBernoulli(0.5) ? kAppA : kAppB;
+    const ItemMeta item = MakeItem(HashCombine(app, zipf.Sample(rng)));
+    if (!server.Get(app, item).hit) server.Set(app, item);
+  }
+  const ClassStats before = server.TotalStats();
+  ASSERT_GT(server.AppStats(kAppB).gets, 0u);
+
+  ASSERT_TRUE(server.RemoveApp(kAppB));
+  ExpectStatsEqual(server.TotalStats(), before, "total after RemoveApp");
+  ClassStats per_shard_sum;
+  for (size_t i = 0; i < server.num_shards(); ++i) {
+    per_shard_sum += server.ShardStats(i);
+  }
+  ExpectStatsEqual(per_shard_sum, before, "per-shard sum after RemoveApp");
+
+  // Later traffic counts on top of the retired history.
+  server.Get(kAppA, MakeItem(HashCombine(kAppA, 1)));
+  EXPECT_EQ(server.TotalStats().gets, before.gets + 1);
 }
 
 // Tenant churn races traffic: one thread adds and removes apps (holding

@@ -94,7 +94,6 @@ TEST(TenantLifecycle, RoutedVerbsSoftFailOnUnknownApp) {
   EXPECT_FALSE(server.Set(1, Item(7)));
   EXPECT_FALSE(server.Touch(1, Item(7)));
   server.Delete(1, Item(7));  // no-op, must not crash
-  EXPECT_FALSE(server.Mutate(1, MutateOp::kTouch, Item(7)).hit);
 }
 
 TEST(TenantLifecycle, RemoveAppReclaimsValueStorageEagerly) {
