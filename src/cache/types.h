@@ -32,6 +32,9 @@ struct GetResult {
   // front count expiry-misses separately (memcached's get_expired) without
   // keeping its own expiry records.
   bool expired = false;
+  // The stored expiry of the item a hit found (0 = never; also 0 on a
+  // miss), so a caller serving the hit needs no second probe for it.
+  uint32_t expiry_s = 0;
 };
 
 // Insertion discipline for the physical queue.

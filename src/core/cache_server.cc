@@ -191,6 +191,7 @@ Outcome AppCache::GetAtClass(int slab_class, const ItemMeta& item) {
   outcome.hit = r.hit;
   outcome.region = r.region;
   outcome.expired = r.expired;
+  outcome.expiry_s = r.expiry_s;
   if (r.hit) {
     ++entry.stats.hits;
     if (r.region == HitRegion::kPhysicalTail) ++entry.stats.tail_hits;
@@ -338,15 +339,13 @@ ValueOutcome AppCache::GetByKey(uint64_t key, uint32_t key_size,
   vo.outcome = GetAtClass(slab_class, item);
   vo.expired = vo.outcome.expired;
   if (vo.outcome.hit) {
-    // Residency invariant: a queue hit implies a live slot (shadow entries
-    // can only re-enter the physical segments through Fill).
+    // Re-check residency after the probe: the hit's scaler feedback can
+    // collapse the partition it sits in, demoting the key to shadow and
+    // freeing its slot before the view is taken.
     const ValueStore::Ref hit_ref = value_store_->Find(key);
     if (hit_ref.has_slot()) {
       value_store_->FillView(hit_ref, &vo.view);
-      uint32_t expiry_s = 0;
-      PartitionedSlabQueue* q = PartitionedFor(hit_ref.slab_class);
-      if (q != nullptr) (void)q->PeekPhysical(key, &expiry_s);
-      vo.view.expiry_s = expiry_s;
+      vo.view.expiry_s = vo.outcome.expiry_s;
       vo.valid = true;
     }
   }
@@ -695,6 +694,7 @@ bool CacheServer::RemoveApp(uint32_t app_id) {
   const auto it = apps_.find(app_id);
   if (it == apps_.end()) return false;
   AppCache* departing = it->second.get();
+  if (last_app_ == departing) last_app_ = nullptr;
   const uint64_t freed = departing->reservation();
   retired_ += departing->TotalStats();
   if (cross_climber_) {
@@ -761,8 +761,11 @@ void CacheServer::RedistributeReservation(uint64_t bytes) {
 }
 
 AppCache* CacheServer::app(uint32_t app_id) {
+  if (last_app_ != nullptr && last_app_->app_id() == app_id) return last_app_;
   const auto it = apps_.find(app_id);
-  return it == apps_.end() ? nullptr : it->second.get();
+  if (it == apps_.end()) return nullptr;
+  last_app_ = it->second.get();
+  return last_app_;
 }
 
 const AppCache* CacheServer::app(uint32_t app_id) const {

@@ -113,6 +113,7 @@ struct Outcome {
   // The probe found the key but its expiry had passed, so it was lazily
   // erased and the access counted as a miss (memcached's get_expired).
   bool expired = false;
+  uint32_t expiry_s = 0;  // a hit's stored expiry (GetResult::expiry_s)
 };
 
 // Result of a value-mode access (ServerConfig::store_values). `outcome`
@@ -300,6 +301,9 @@ class CacheServer {
   // into the server's retired total first, so TotalStats() never goes
   // backwards across tenant churn. Returns false for an unknown app.
   bool RemoveApp(uint32_t app_id);
+  // The mutable lookup remembers the last app it found, so a guard
+  // (ShardedCacheServer::ShardBatch::HasApp) and the verb it guards cost
+  // one registry lookup per op between them.
   [[nodiscard]] AppCache* app(uint32_t app_id);
   [[nodiscard]] const AppCache* app(uint32_t app_id) const;
 
@@ -351,6 +355,10 @@ class CacheServer {
 
   ServerConfig config_;
   std::map<uint32_t, std::unique_ptr<AppCache>> apps_;
+  // The app the mutable app() found last; RemoveApp clears it when that
+  // app departs. apps_ owns each AppCache through a unique_ptr, so the
+  // address stays valid across other apps' insertions and removals.
+  AppCache* last_app_ = nullptr;
   ClassStats retired_;  // statistics of the apps RemoveApp tore down
   std::unique_ptr<HillClimber> cross_climber_;
   // Indexed by HillClimber slot; tombstoned (nullptr) after RemoveApp until

@@ -52,6 +52,43 @@ void SetError(Command* out, std::string_view error) {
   out->error = error;
 }
 
+// The first space-delimited word of `line` and the offset just past it —
+// the verb the general tokenizer would read as tokens.front().
+std::string_view FirstWord(std::string_view line, size_t* end) {
+  size_t pos = 0;
+  while (pos < line.size() && line[pos] == ' ') ++pos;
+  const size_t start = pos;
+  while (pos < line.size() && line[pos] != ' ') ++pos;
+  *end = pos;
+  return line.substr(start, pos - start);
+}
+
+// Splits a get/gets key list on runs of spaces straight into *keys in one
+// pass, validating each key (ValidKey's rule) and the kMaxKeysPerGet cap as
+// it goes. Returns the error line — kErrError for no key, kErrBadLine for a
+// bad key or one key too many — with *keys cleared, or an empty view.
+std::string_view ScanGetKeys(std::string_view rest,
+                             std::vector<std::string_view>* keys) {
+  size_t pos = 0;
+  while (true) {
+    while (pos < rest.size() && rest[pos] == ' ') ++pos;
+    if (pos == rest.size()) break;
+    const size_t start = pos;
+    bool printable = true;
+    for (; pos < rest.size() && rest[pos] != ' '; ++pos) {
+      const auto c = static_cast<unsigned char>(rest[pos]);
+      printable &= c > ' ' && c != 0x7f;
+    }
+    if (!printable || pos - start > kMaxKeyBytes ||
+        keys->size() == kMaxKeysPerGet) {
+      keys->clear();
+      return kErrBadLine;
+    }
+    keys->push_back(rest.substr(start, pos - start));
+  }
+  return keys->empty() ? kErrError : std::string_view{};
+}
+
 bool ValidKey(std::string_view key) {
   if (key.empty() || key.size() > kMaxKeyBytes) return false;
   // memcached keys are printable non-space bytes: control characters
@@ -132,6 +169,21 @@ ParseStatus AsciiParser::Next(std::string_view buffer, size_t* consumed,
   std::string_view line = buffer.substr(0, newline);
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
 
+  // --- retrieval: one pass from the line into out->keys ----------------
+  size_t verb_end = 0;
+  const std::string_view verb = FirstWord(line, &verb_end);
+  if (verb == "get" || verb == "gets") {
+    *consumed = line_end;
+    const std::string_view error =
+        ScanGetKeys(line.substr(verb_end), &out->keys);
+    if (!error.empty()) {
+      SetError(out, error);
+    } else {
+      out->type = verb == "get" ? CommandType::kGet : CommandType::kGets;
+    }
+    return ParseStatus::kCommand;
+  }
+
   Tokenize(line, &tokens_);
   const std::vector<std::string_view>& tokens = tokens_;
 
@@ -142,31 +194,6 @@ ParseStatus AsciiParser::Next(std::string_view buffer, size_t* consumed,
   }
 
   const std::string_view word = tokens.front();
-
-  // --- retrieval -------------------------------------------------------
-  if (word == "get" || word == "gets") {
-    if (tokens.size() < 2) {
-      *consumed = line_end;
-      SetError(out, kErrError);
-      return ParseStatus::kCommand;
-    }
-    if (tokens.size() - 1 > kMaxKeysPerGet) {
-      *consumed = line_end;
-      SetError(out, kErrBadLine);
-      return ParseStatus::kCommand;
-    }
-    for (size_t i = 1; i < tokens.size(); ++i) {
-      if (!ValidKey(tokens[i])) {
-        *consumed = line_end;
-        SetError(out, kErrBadLine);
-        return ParseStatus::kCommand;
-      }
-    }
-    out->type = word == "get" ? CommandType::kGet : CommandType::kGets;
-    out->keys.assign(tokens.begin() + 1, tokens.end());
-    *consumed = line_end;
-    return ParseStatus::kCommand;
-  }
 
   // --- storage ---------------------------------------------------------
   const bool is_cas = word == "cas";

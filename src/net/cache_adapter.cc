@@ -94,20 +94,21 @@ CacheAdapter::RoutedKey CacheAdapter::Route(std::string_view key) const {
 void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
                                 std::string_view key, const RoutedKey& rk,
                                 uint32_t now_s, bool with_cas,
-                                std::string* out, ResponseSegment* zc) {
+                                std::string* out, ResponseSegment* zc,
+                                Counters* tally) {
   const ValueOutcome vo = core.GetValue(
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()), now_s,
       FlushAt());
   if (vo.flush_reclaimed) {
     // flush_all invalidation, reclaimed on this access without touching
     // the core statistics (the probe never ran).
-    get_misses_.fetch_add(1, std::memory_order_relaxed);
-    get_expired_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->get_misses;
+    ++tally->get_expired;
     return;
   }
   if (vo.valid) {
-    get_hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes_written_.fetch_add(vo.view.size, std::memory_order_relaxed);
+    ++tally->get_hits;
+    tally->bytes_written += vo.view.size;
     if (zc != nullptr) {
       // Zero-copy: the VALUE header goes into the segment text, the
       // payload piece borrows the arena bytes (stable while the caller
@@ -133,13 +134,13 @@ void CacheAdapter::GetKeyLocked(ShardedCacheServer::ShardBatch& core,
     }
     return;
   }
-  get_misses_.fetch_add(1, std::memory_order_relaxed);
+  ++tally->get_misses;
   if (vo.expired) {
-    get_expired_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->get_expired;
   }
 }
 
-void CacheAdapter::CountCommand(const Command& cmd) {
+void CacheAdapter::CountCommand(const Command& cmd, Counters* tally) {
   switch (cmd.type) {
     case CommandType::kSet:
     case CommandType::kAdd:
@@ -147,25 +148,26 @@ void CacheAdapter::CountCommand(const Command& cmd) {
     case CommandType::kCas:
     case CommandType::kAppend:
     case CommandType::kPrepend:
-      cmd_set_.fetch_add(1, std::memory_order_relaxed);
+      ++tally->cmd_set;
       break;
     case CommandType::kTouch:
-      cmd_touch_.fetch_add(1, std::memory_order_relaxed);
+      ++tally->cmd_touch;
       break;
     case CommandType::kDelete:
-      cmd_delete_.fetch_add(1, std::memory_order_relaxed);
+      ++tally->cmd_delete;
       break;
     default:
       break;
   }
 }
 
-void CacheAdapter::RejectUnknownApp(const Command& cmd, std::string* out) {
+void CacheAdapter::RejectUnknownApp(const Command& cmd, std::string* out,
+                                    Counters* tally) {
   switch (cmd.type) {
     case CommandType::kGet:
     case CommandType::kGets:
       // The slot stays empty: an unknown app's key is a miss.
-      get_misses_.fetch_add(1, std::memory_order_relaxed);
+      ++tally->get_misses;
       return;
     case CommandType::kSet:
     case CommandType::kAdd:
@@ -175,9 +177,9 @@ void CacheAdapter::RejectUnknownApp(const Command& cmd, std::string* out) {
     case CommandType::kPrepend:
       // Checked before any size or presence test, so it wins over "too
       // large", and no cas is minted.
-      store_rejected_.fetch_add(1, std::memory_order_relaxed);
+      ++tally->store_rejected;
       if (cmd.type == CommandType::kCas) {
-        cas_misses_.fetch_add(1, std::memory_order_relaxed);
+        ++tally->cas_misses;
       }
       if (!cmd.noreply) {
         AppendErrorLine(out, "SERVER_ERROR unknown application");
@@ -185,11 +187,11 @@ void CacheAdapter::RejectUnknownApp(const Command& cmd, std::string* out) {
       return;
     case CommandType::kIncr:
     case CommandType::kDecr:
-      (cmd.type == CommandType::kIncr ? incr_misses_ : decr_misses_)
-          .fetch_add(1, std::memory_order_relaxed);
+      ++(cmd.type == CommandType::kIncr ? tally->incr_misses
+                                        : tally->decr_misses);
       break;
     case CommandType::kTouch:
-      touch_misses_.fetch_add(1, std::memory_order_relaxed);
+      ++tally->touch_misses;
       break;
     default:  // kDelete
       break;
@@ -199,7 +201,8 @@ void CacheAdapter::RejectUnknownApp(const Command& cmd, std::string* out) {
 
 void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
-                               uint32_t now_s, std::string* out) {
+                               uint32_t now_s, std::string* out,
+                               Counters* tally) {
   const bool is_cas = cmd.type == CommandType::kCas;
   const std::string_view key = cmd.key();
   const auto key_size = static_cast<uint32_t>(key.size());
@@ -213,20 +216,20 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
         core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
     if ((cmd.type == CommandType::kAdd && peek.valid) ||
         (cmd.type == CommandType::kReplace && !peek.valid)) {
-      store_rejected_.fetch_add(1, std::memory_order_relaxed);
+      ++tally->store_rejected;
       if (!cmd.noreply) out->append(kNotStoredLine);
       return;
     }
     if (is_cas) {
       if (!peek.valid) {
-        cas_misses_.fetch_add(1, std::memory_order_relaxed);
-        store_rejected_.fetch_add(1, std::memory_order_relaxed);
+        ++tally->cas_misses;
+        ++tally->store_rejected;
         if (!cmd.noreply) out->append(kNotFoundLine);
         return;
       }
       if (peek.view.cas != cmd.cas_unique) {
-        cas_badval_.fetch_add(1, std::memory_order_relaxed);
-        store_rejected_.fetch_add(1, std::memory_order_relaxed);
+        ++tally->cas_badval;
+        ++tally->store_rejected;
         if (!cmd.noreply) out->append(kExistsLine);
         return;
       }
@@ -243,7 +246,7 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
     // minted for a rejected store, keeping the cas stream identical to the
     // success-only sequence.
     core.SetValue(rk.app_id, item, cmd.data.data(), cmd.flags, 0);
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->store_rejected;
     if (!cmd.noreply) AppendErrorLine(out, kErrTooLarge);
     return;
   }
@@ -252,8 +255,8 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
       core.SetValue(rk.app_id, item, cmd.data.data(), cmd.flags, cas);
   assert(admitted);
   (void)admitted;
-  bytes_read_.fetch_add(cmd.data.size(), std::memory_order_relaxed);
-  if (is_cas) cas_hits_.fetch_add(1, std::memory_order_relaxed);
+  tally->bytes_read += cmd.data.size();
+  if (is_cas) ++tally->cas_hits;
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
@@ -263,13 +266,14 @@ void CacheAdapter::StoreLocked(ShardedCacheServer::ShardBatch& core,
 // leaves the slab class.
 void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
                                 const Command& cmd, const RoutedKey& rk,
-                                uint32_t now_s, std::string* out) {
+                                uint32_t now_s, std::string* out,
+                                Counters* tally) {
   const std::string_view key = cmd.key();
   const auto key_size = static_cast<uint32_t>(key.size());
   const ValueOutcome peek =
       core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
   if (!peek.valid) {
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->store_rejected;
     if (!cmd.noreply) out->append(kNotStoredLine);
     return;
   }
@@ -278,7 +282,7 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
   if (combined_size > kMaxValueBytes) {
     // Reject the splice but keep the original item intact, as memcached
     // does when the concatenated object no longer fits.
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->store_rejected;
     if (!cmd.noreply) AppendErrorLine(out, kErrTooLarge);
     return;
   }
@@ -300,7 +304,7 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
     // deletes it before failing), no cas is minted.
     core.ReplaceValue(rk.app_id, rk.key_id, key_size, combined.data(),
                       new_size, 0, now_s);
-    store_rejected_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->store_rejected;
     if (!cmd.noreply) AppendErrorLine(out, kErrTooLarge);
     return;
   }
@@ -309,21 +313,21 @@ void CacheAdapter::ConcatLocked(ShardedCacheServer::ShardBatch& core,
       rk.app_id, rk.key_id, key_size, combined.data(), new_size, cas, now_s);
   assert(r != ReplaceResult::kFailed);
   (void)r;
-  bytes_read_.fetch_add(cmd.data.size(), std::memory_order_relaxed);
+  tally->bytes_read += cmd.data.size();
   if (!cmd.noreply) out->append(kStoredLine);
 }
 
 void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
                                uint32_t now_s, bool increment,
-                               std::string* out) {
-  auto& hits = increment ? incr_hits_ : decr_hits_;
-  auto& misses = increment ? incr_misses_ : decr_misses_;
+                               std::string* out, Counters* tally) {
+  uint64_t& hits = increment ? tally->incr_hits : tally->decr_hits;
+  uint64_t& misses = increment ? tally->incr_misses : tally->decr_misses;
   const std::string_view key = cmd.key();
   const ValueOutcome peek =
       core.PeekValue(rk.app_id, rk.key_id, now_s, FlushAt());
   if (!peek.valid) {
-    misses.fetch_add(1, std::memory_order_relaxed);
+    ++misses;
     if (!cmd.noreply) out->append(kNotFoundLine);
     return;
   }
@@ -355,14 +359,15 @@ void CacheAdapter::ArithLocked(ShardedCacheServer::ShardBatch& core,
       static_cast<uint32_t>(new_size), cas, now_s);
   assert(r != ReplaceResult::kFailed);
   (void)r;
-  bytes_read_.fetch_add(new_size, std::memory_order_relaxed);
-  hits.fetch_add(1, std::memory_order_relaxed);
+  tally->bytes_read += new_size;
+  ++hits;
   if (!cmd.noreply) AppendNumericLine(out, result);
 }
 
 void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
                                const Command& cmd, const RoutedKey& rk,
-                               uint32_t now_s, std::string* out) {
+                               uint32_t now_s, std::string* out,
+                               Counters* tally) {
   const std::string_view key = cmd.key();
   // Refreshes the stored expiry and the item's recency standing; no GET
   // statistics move (memcached counts touches separately, and so does the
@@ -372,24 +377,25 @@ void CacheAdapter::TouchLocked(ShardedCacheServer::ShardBatch& core,
       rk.app_id, rk.key_id, static_cast<uint32_t>(key.size()),
       AbsoluteExpiry(cmd.exptime, now_s), now_s, FlushAt());
   if (ok) {
-    touch_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->touch_hits;
     if (!cmd.noreply) out->append(kTouchedLine);
   } else {
-    touch_misses_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->touch_misses;
     if (!cmd.noreply) out->append(kNotFoundLine);
   }
 }
 
 void CacheAdapter::DeleteLocked(ShardedCacheServer::ShardBatch& core,
                                 const Command& cmd, const RoutedKey& rk,
-                                uint32_t now_s, std::string* out) {
+                                uint32_t now_s, std::string* out,
+                                Counters* tally) {
   // The core reports whether a live, unexpired, unflushed item existed
   // (memcached's DELETED/NOT_FOUND split) and erases every trace either
   // way — including shadow state, which must not keep earning credit an
   // explicit delete revoked.
   const bool valid = core.DeleteValue(rk.app_id, rk.key_id, now_s, FlushAt());
   if (valid) {
-    delete_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->delete_hits;
     if (!cmd.noreply) out->append(kDeletedLine);
   } else {
     if (!cmd.noreply) out->append(kNotFoundLine);
@@ -547,13 +553,13 @@ bool IsShardable(CommandType type) {
 
 void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
                                    const BurstOp& op, ResponseSegment* seg,
-                                   bool pinned) {
+                                   bool pinned, Counters* tally) {
   const Command& cmd = *op.cmd;
   // The tenant check reads the shard's own registry under the lock this op
   // already holds, so an app added or removed on the core takes effect
   // here with no second copy to keep in sync.
   if (!core.HasApp(op.rk.app_id)) {
-    RejectUnknownApp(cmd, &seg->text);
+    RejectUnknownApp(cmd, &seg->text, tally);
     return;
   }
   switch (cmd.type) {
@@ -563,28 +569,29 @@ void CacheAdapter::ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
       // the arena; otherwise the batch dies before the flush, so copy.
       GetKeyLocked(core, cmd.keys[op.key_idx], op.rk, op.now_s,
                    /*with_cas=*/cmd.type == CommandType::kGets, &seg->text,
-                   pinned ? seg : nullptr);
+                   pinned ? seg : nullptr, tally);
       break;
     case CommandType::kSet:
     case CommandType::kAdd:
     case CommandType::kReplace:
     case CommandType::kCas:
-      StoreLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      StoreLocked(core, cmd, op.rk, op.now_s, &seg->text, tally);
       break;
     case CommandType::kAppend:
     case CommandType::kPrepend:
-      ConcatLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      ConcatLocked(core, cmd, op.rk, op.now_s, &seg->text, tally);
       break;
     case CommandType::kIncr:
     case CommandType::kDecr:
       ArithLocked(core, cmd, op.rk, op.now_s,
-                  /*increment=*/cmd.type == CommandType::kIncr, &seg->text);
+                  /*increment=*/cmd.type == CommandType::kIncr, &seg->text,
+                  tally);
       break;
     case CommandType::kTouch:
-      TouchLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      TouchLocked(core, cmd, op.rk, op.now_s, &seg->text, tally);
       break;
     case CommandType::kDelete:
-      DeleteLocked(core, cmd, op.rk, op.now_s, &seg->text);
+      DeleteLocked(core, cmd, op.rk, op.now_s, &seg->text, tally);
       break;
     default:
       break;  // unreachable: only shardable ops are collected
@@ -596,18 +603,21 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
                                      size_t* used, bool pinned) {
   // Collection: expand commands into shard-routed ops and claim their
   // response slots in stream order. The command counters run here, before
-  // any lock; Now() is read once per command, in command order.
-  // Thread-local so the steady-state burst cycle reuses its capacity and
-  // stays off the allocator (each worker runs its own bursts).
+  // any lock; Now() is read once per command, in command order. `ops` is
+  // thread-local so the steady-state burst cycle reuses its capacity and
+  // stays off the allocator (each worker runs its own bursts). Every
+  // counter the run moves goes into `tally`, published once at the end,
+  // before a barrier that follows the run can read it.
   static thread_local std::vector<BurstOp> ops;
+  Counters tally;
   ops.clear();
   ops.reserve(count);
   for (size_t c = 0; c < count; ++c) {
     const Command& cmd = cmds[c];
     const uint32_t now = Now();
     if (cmd.type == CommandType::kGet || cmd.type == CommandType::kGets) {
+      tally.cmd_get += cmd.keys.size();
       for (size_t k = 0; k < cmd.keys.size(); ++k) {
-        cmd_get_.fetch_add(1, std::memory_order_relaxed);
         ClaimSlot(segments, used);
         const RoutedKey rk = Route(cmd.keys[k]);
         ops.push_back(BurstOp{&cmd, k, *used - 1, now, rk,
@@ -619,13 +629,13 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
       continue;
     }
     ClaimSlot(segments, used);
-    CountCommand(cmd);
+    CountCommand(cmd, &tally);
     const RoutedKey rk = Route(cmd.key());
     ops.push_back(BurstOp{&cmd, 0, *used - 1, now, rk,
                           server_->ShardForKey(rk.key_id)});
   }
 
-  if (ops.empty()) return;
+  if (ops.empty()) return;  // nothing was counted either
 
   // Group by shard with a counting pass: ops land in their shard's bucket
   // in collection order, so same-shard (and therefore same-key) op order is
@@ -659,11 +669,38 @@ void CacheAdapter::ExecuteShardedRun(const Command* cmds, size_t count,
     ShardedCacheServer::ShardBatch batch = server_->BeginBatch(shard);
     for (size_t j = begin; j < end; ++j) {
       const BurstOp& op = ops[grouped[j]];
-      ExecuteOpLocked(batch, op, &(*segments)[op.slot], pinned);
+      ExecuteOpLocked(batch, op, &(*segments)[op.slot], pinned, &tally);
     }
     if (pinned) t_burst_pins.push_back(std::move(batch));
     begin = end;
   }
+  Publish(tally);
+}
+
+void CacheAdapter::Publish(const Counters& tally) {
+  const auto add = [](std::atomic<uint64_t>& total, uint64_t n) {
+    if (n != 0) total.fetch_add(n, std::memory_order_relaxed);
+  };
+  add(cmd_get_, tally.cmd_get);
+  add(get_hits_, tally.get_hits);
+  add(get_misses_, tally.get_misses);
+  add(get_expired_, tally.get_expired);
+  add(cmd_set_, tally.cmd_set);
+  add(store_rejected_, tally.store_rejected);
+  add(cas_hits_, tally.cas_hits);
+  add(cas_misses_, tally.cas_misses);
+  add(cas_badval_, tally.cas_badval);
+  add(incr_hits_, tally.incr_hits);
+  add(incr_misses_, tally.incr_misses);
+  add(decr_hits_, tally.decr_hits);
+  add(decr_misses_, tally.decr_misses);
+  add(cmd_touch_, tally.cmd_touch);
+  add(touch_hits_, tally.touch_hits);
+  add(touch_misses_, tally.touch_misses);
+  add(cmd_delete_, tally.cmd_delete);
+  add(delete_hits_, tally.delete_hits);
+  add(bytes_read_, tally.bytes_read);
+  add(bytes_written_, tally.bytes_written);
 }
 
 bool CacheAdapter::HandleBatch(const Command* cmds, size_t count,

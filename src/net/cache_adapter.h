@@ -168,18 +168,20 @@ class CacheAdapter final : public CommandHandler {
     return flush_at_s_.load(std::memory_order_relaxed);
   }
 
-  // Adds a non-get command to its memcached `cmd_*` total (burst
+  // Adds a non-get command to its memcached `cmd_*` total in *tally (burst
   // collection, before any lock; get keys count per key there).
-  void CountCommand(const Command& cmd);
+  static void CountCommand(const Command& cmd, Counters* tally);
   // Counts and answers an op whose app the shard does not host: a get key
   // is a miss, a store is SERVER_ERROR unknown application (no cas is
   // minted), incr/decr/touch/delete are NOT_FOUND.
-  void RejectUnknownApp(const Command& cmd, std::string* out);
+  static void RejectUnknownApp(const Command& cmd, std::string* out,
+                               Counters* tally);
 
   // Locked per-op executors: the memcached semantics of one operation,
   // expressed over the core value verbs through the burst's open
   // ShardBatch for rk's shard. Pre for all: the shard hosts rk.app_id
-  // (ExecuteOpLocked checks ShardBatch::HasApp first).
+  // (ExecuteOpLocked checks ShardBatch::HasApp first). Each counts what it
+  // did into *tally, the sharded run's local counter tally.
   //
   // GetKeyLocked serves a hit either zero-copy (`zc` non-null: the VALUE
   // header goes into zc->text and the payload span borrows the arena
@@ -188,20 +190,25 @@ class CacheAdapter final : public CommandHandler {
   void GetKeyLocked(ShardedCacheServer::ShardBatch& core,
                     std::string_view key, const RoutedKey& rk,
                     uint32_t now_s, bool with_cas, std::string* out,
-                    ResponseSegment* zc);
+                    ResponseSegment* zc, Counters* tally);
   void StoreLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
-                   const RoutedKey& rk, uint32_t now_s, std::string* out);
+                   const RoutedKey& rk, uint32_t now_s, std::string* out,
+                   Counters* tally);
   void ConcatLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
-                    const RoutedKey& rk, uint32_t now_s, std::string* out);
+                    const RoutedKey& rk, uint32_t now_s, std::string* out,
+                    Counters* tally);
   void ArithLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
                    const RoutedKey& rk, uint32_t now_s, bool increment,
-                   std::string* out);
+                   std::string* out, Counters* tally);
   void TouchLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
-                   const RoutedKey& rk, uint32_t now_s, std::string* out);
+                   const RoutedKey& rk, uint32_t now_s, std::string* out,
+                   Counters* tally);
   void DeleteLocked(ShardedCacheServer::ShardBatch& core, const Command& cmd,
-                    const RoutedKey& rk, uint32_t now_s, std::string* out);
+                    const RoutedKey& rk, uint32_t now_s, std::string* out,
+                    Counters* tally);
   void ExecuteOpLocked(ShardedCacheServer::ShardBatch& core,
-                       const BurstOp& op, ResponseSegment* seg, bool pinned);
+                       const BurstOp& op, ResponseSegment* seg, bool pinned,
+                       Counters* tally);
   // The burst engine: expands a run of shardable commands into per-key ops
   // with pre-claimed response slots, groups the ops by shard (stable), and
   // executes each group under one core ShardBatch. With `pinned`, the
@@ -211,6 +218,9 @@ class CacheAdapter final : public CommandHandler {
   void ExecuteShardedRun(const Command* cmds, size_t count,
                          std::vector<ResponseSegment>* segments,
                          size_t* used, bool pinned);
+  // Adds a run's tally to the shared counters: one relaxed fetch_add per
+  // non-zero counter per run, not one per op.
+  void Publish(const Counters& tally);
 
   // The barrier verbs — flush_all, stats, version, quit, protocol errors —
   // none confined to one shard. Returns false for quit.

@@ -27,9 +27,12 @@
 namespace cliffhanger {
 namespace net {
 
-// iovec slots per gather-write call — well under any IOV_MAX; larger bursts
-// just take another call.
-constexpr int kMaxFlushIov = 64;
+// iovec slots per gather-write call: the kernel's per-call limit, so one
+// call carries a whole burst. Burst collection stops at kMaxKeysPerGet
+// key-ops, so a burst holds fewer than 2 x kMaxKeysPerGet keys of three
+// pieces each plus one END per frame (under 450 pieces); only a socket
+// that takes less than everything sends the rest in a further call.
+constexpr int kMaxFlushIov = UIO_MAXIOV;
 
 // The p-th write piece of one response segment (0 = text, 1 = borrowed
 // payload, 2 = trailer). Empty pieces are skipped by the cursor logic.
@@ -77,7 +80,7 @@ bool FlushSegmentsVia(WriteFn&& write_some, std::string* wr,
       if (off < len) break;
       advance();
     }
-    iovec iov[kMaxFlushIov];
+    iovec iov[kMaxFlushIov];  // 16 KiB of worker stack, left uninitialised
     int iov_count = 0;
     if (*wr_offset < wr->size()) {
       iov[iov_count++] = {const_cast<char*>(wr->data()) + *wr_offset,

@@ -392,6 +392,93 @@ TEST(AsciiParserTest, MultigetKeyCountIsCapped) {
   EXPECT_EQ(cmds[0].error, kErrBadLine);
 }
 
+// The general tokenizer path's reading of one request line that does not
+// parse as storage/arith/touch/delete/admin: split on runs of spaces, then
+// get/gets arity, key-count and key checks; any other verb is ERROR. The
+// reference the parser's one-pass get/gets key scan must match exactly.
+OwnedCommand ReferenceRetrieval(const std::string& line) {
+  std::vector<std::string> tokens;
+  size_t pos = 0;
+  while (pos < line.size()) {
+    while (pos < line.size() && line[pos] == ' ') ++pos;
+    const size_t start = pos;
+    while (pos < line.size() && line[pos] != ' ') ++pos;
+    if (pos > start) tokens.push_back(line.substr(start, pos - start));
+  }
+  OwnedCommand out;
+  out.type = CommandType::kProtocolError;
+  if (tokens.empty() || (tokens[0] != "get" && tokens[0] != "gets") ||
+      tokens.size() < 2) {
+    out.error = std::string(kErrError);
+    return out;
+  }
+  bool ok = tokens.size() - 1 <= kMaxKeysPerGet;
+  for (size_t i = 1; ok && i < tokens.size(); ++i) {
+    ok = tokens[i].size() <= kMaxKeyBytes;
+    for (const char c : tokens[i]) {
+      const auto b = static_cast<unsigned char>(c);
+      ok = ok && b > ' ' && b != 0x7f;
+    }
+  }
+  if (!ok) {
+    out.error = std::string(kErrBadLine);
+    return out;
+  }
+  out.type = tokens[0] == "get" ? CommandType::kGet : CommandType::kGets;
+  out.keys.assign(tokens.begin() + 1, tokens.end());
+  return out;
+}
+
+TEST(AsciiParserTest, OnePassGetScanMatchesTheTokenizerPath) {
+  std::string keys64;
+  for (size_t i = 0; i < kMaxKeysPerGet; ++i) {
+    keys64 += " k" + std::to_string(i);
+  }
+  const std::string key250(kMaxKeyBytes, 'k');
+  const std::string key251(kMaxKeyBytes + 1, 'k');
+  const std::vector<std::string> lines = {
+      "get",
+      "get ",
+      "get     ",
+      "gets",
+      "get k",
+      "get  a   b    c",
+      "   get a b",
+      "get a b   ",
+      "get" + keys64,
+      "get" + keys64 + " k64",
+      "gets" + keys64 + " k64",
+      "get " + key250,
+      "get " + key251,
+      "get a " + key251 + " b",
+      "get a\tb",
+      "get a\rb",
+      "get k\r",
+      std::string("get a\x01") + "b",
+      std::string("get a\x7f") + "b",
+      std::string("get a\x80") + "b",
+      "get a\tb" + keys64 + " k64",
+      "gets a b",
+      "getx k",
+      "GET k",
+      "get\tk",
+  };
+  for (const std::string& line : lines) {
+    const std::string frame = line + "\r\n";
+    AsciiParser parser;
+    Command cmd;
+    size_t consumed = 0;
+    ASSERT_EQ(parser.Next(frame, &consumed, &cmd), ParseStatus::kCommand)
+        << line;
+    EXPECT_EQ(consumed, frame.size()) << line;
+    const OwnedCommand got = Materialize(cmd);
+    const OwnedCommand want = ReferenceRetrieval(line);
+    EXPECT_TRUE(got == want) << "line: " << line << "\n got type "
+                             << static_cast<int>(got.type) << " error '"
+                             << got.error << "' keys " << got.keys.size();
+  }
+}
+
 TEST(AsciiParserTest, OverlongLineErrorIsSegmentationInvariant) {
   // A line over the cap must produce exactly one "line too long" error
   // whether the newline was already buffered (whole-buffer parse) or

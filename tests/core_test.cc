@@ -578,5 +578,115 @@ TEST(CacheServer, ShadowOverheadStaysUnderPaperBound) {
   EXPECT_LT(app.shadow_overhead_bytes(), 600u * 1024u);
 }
 
+// --- Value-mode GET hits --------------------------------------------------
+
+TEST(PartitionedSlabQueue, HitOnTheUnroutedSideCarriesItsStoredExpiry) {
+  PartitionConfig pc;
+  pc.partition_enabled = true;
+  PartitionedSlabQueue q(pc);
+  q.SetCapacityBytes(64 * 64);
+  ItemMeta item;
+  item.key = 77;
+  item.expiry_s = 900;
+  item.now_s = 100;
+  q.Fill(item);
+  const Side home = q.Route(item.key);
+  // Move the boundary so the key now routes to the side it does not live
+  // on; the hit comes from the second-side probe.
+  q.SetRatio(home == Side::kLeft ? 0.0 : 1.0);
+  ASSERT_NE(q.Route(item.key), home);
+  const GetResult r = q.Get(item);
+  ASSERT_TRUE(r.hit);
+  EXPECT_EQ(r.side, home);
+  EXPECT_EQ(r.expiry_s, 900u);
+}
+
+// A value-mode server whose one class-0 queue holds 64 items and whose
+// cliff scaler engages on the first cliff-shadow hit and collapses again
+// on the next pointer move: one 4 KiB page, 8-item credits, entry above 4
+// items of pointer distance, exit below 12, a single confirmation.
+ServerConfig HairTriggerCliffConfig() {
+  ServerConfig config;
+  config.allocation = AllocationMode::kCliffhanger;
+  config.store_values = true;
+  config.page_size = 64 * 64;
+  config.knobs.hill_climbing = false;
+  CliffScalerConfig& sc = config.knobs.scaler;
+  sc.credit_bytes = 8 * 64;
+  sc.min_active_items = 8;
+  sc.min_pointer_items = 1;
+  sc.enter_cliff_credits = 0.5;
+  sc.enter_cliff_fraction = 0.0;
+  sc.exit_cliff_credits = 1.5;
+  sc.exit_cliff_fraction = 0.0;
+  sc.exit_confirmations = 1;
+  sc.stable_accesses_to_engage = 0;
+  return config;
+}
+
+constexpr uint32_t kNow = 100;
+
+uint64_t CliffKey(uint64_t i) { return HashCombine(0xC11F, i); }
+
+// Stores keys 0..79 (expiry 1000 + i) into the 64-item queue, then GETs
+// key 0 from the cliff shadow: the scaler engages and splits the queue
+// evenly (ratio 0.5), leaving keys 48..79 physical on the left side.
+void EngageCliff(CacheServer* server) {
+  server->AddApp(1, 64 * 64);
+  const char payload[8] = {'p', 'a', 'y', 'l', 'o', 'a', 'd', '!'};
+  for (uint64_t i = 0; i < 80; ++i) {
+    ItemMeta item;
+    item.key = CliffKey(i);
+    item.key_size = 16;
+    item.value_size = sizeof(payload);
+    item.expiry_s = static_cast<uint32_t>(1000 + i);
+    item.now_s = kNow;
+    ASSERT_TRUE(server->SetValue(1, item, payload, 0, i + 1));
+  }
+  const ValueOutcome shadow = server->GetByKey(1, CliffKey(0), 16, kNow, 0);
+  ASSERT_EQ(shadow.outcome.region, HitRegion::kCliffShadow);
+}
+
+TEST(CacheServer, ValueHitOnTheUnroutedSideReturnsStoredExpiry) {
+  CacheServer server(HairTriggerCliffConfig());
+  EngageCliff(&server);
+  // A left-resident key that the 0.5 split routes right: its hit comes
+  // from the unrouted side, where the queue's own probe read the expiry.
+  uint64_t i = 48;
+  while (i < 80 && KeyToUnitInterval(CliffKey(i)) < 0.5) ++i;
+  ASSERT_LT(i, 80u);
+  const ValueOutcome vo = server.GetByKey(1, CliffKey(i), 16, kNow, 0);
+  ASSERT_TRUE(vo.outcome.hit);
+  ASSERT_TRUE(vo.valid);
+  EXPECT_EQ(vo.view.expiry_s, 1000 + i);
+  EXPECT_EQ(vo.outcome.expiry_s, 1000 + i);
+  EXPECT_EQ(vo.view.cas, i + 1);
+  EXPECT_TRUE(server.CheckInvariants());
+}
+
+TEST(CacheServer, ValueHitWhoseScalerCollapsesThePartitionIsNotServed) {
+  CacheServer server(HairTriggerCliffConfig());
+  EngageCliff(&server);
+  // A fresh key routed right lands in the (empty) right queue. Its tail
+  // hit pulls the right pointer home, the scaler leaves the cliff and
+  // collapses the partition, and the right side's items — this key
+  // included — drop to shadow inside the very GET that hit it.
+  uint64_t i = 1000;
+  while (KeyToUnitInterval(CliffKey(i)) < 0.5) ++i;
+  const char payload[3] = {'n', 'e', 'w'};
+  ItemMeta item;
+  item.key = CliffKey(i);
+  item.key_size = 16;
+  item.value_size = sizeof(payload);
+  item.now_s = kNow;
+  ASSERT_TRUE(server.SetValue(1, item, payload, 0, 7));
+  const ValueOutcome vo = server.GetByKey(1, CliffKey(i), 16, kNow, 0);
+  EXPECT_TRUE(vo.outcome.hit);
+  EXPECT_FALSE(vo.valid);
+  EXPECT_EQ(vo.view.data, nullptr);
+  EXPECT_FALSE(server.PeekByKey(1, CliffKey(i), kNow, 0).valid);
+  EXPECT_TRUE(server.CheckInvariants());
+}
+
 }  // namespace
 }  // namespace cliffhanger

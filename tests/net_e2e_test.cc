@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -405,6 +406,59 @@ TEST_P(NetE2eTest, StatsSurfaceProtocolAndCoreCounters) {
   EXPECT_EQ(stats.at("cliffhanger_sets"), "1");
   EXPECT_EQ(stats.at("app_1_reservation_bytes"),
             std::to_string(8 * kMiB));
+}
+
+TEST_P(NetE2eTest, PipelinedBurstCountersAreExactAtTheStatsBarrier) {
+  // Sets, a multiget and `stats` in one pipelined send: the counters a
+  // sharded run tallies must be published before the stats barrier that
+  // follows it reads them, whichever burst boundaries the reads produce.
+  StartDefaultServer();
+  net::AsciiClient client = MakeClient();
+  constexpr int kSets = 12;
+  constexpr int kMisses = 3;
+  std::string blob;
+  std::string multiget = "get";
+  uint64_t payload_bytes = 0;
+  for (int i = 0; i < kSets; ++i) {
+    const std::string key = "c" + std::to_string(i);
+    const std::string value(static_cast<size_t>(i + 1), 'v');
+    payload_bytes += value.size();
+    blob += "set " + key + " 0 0 " + std::to_string(value.size()) + "\r\n" +
+            value + "\r\n";
+    multiget += " " + key;
+  }
+  for (int i = 0; i < kMisses; ++i) multiget += " absent" + std::to_string(i);
+  blob += multiget + "\r\nstats\r\n";
+  ASSERT_TRUE(client.SendRaw(blob));
+
+  std::string line;
+  for (int i = 0; i < kSets; ++i) {
+    ASSERT_TRUE(client.ReadLine(&line));
+    ASSERT_EQ(line, "STORED");
+  }
+  for (int i = 0; i < kSets; ++i) {
+    ASSERT_TRUE(client.ReadLine(&line));
+    ASSERT_EQ(line, "VALUE c" + std::to_string(i) + " 0 " +
+                        std::to_string(i + 1));
+    ASSERT_TRUE(client.ReadLine(&line));
+  }
+  ASSERT_TRUE(client.ReadLine(&line));
+  ASSERT_EQ(line, "END");
+  std::map<std::string, std::string> stats;
+  while (client.ReadLine(&line) && line != "END") {
+    const size_t name_end = line.find(' ', 5);
+    ASSERT_EQ(line.compare(0, 5, "STAT "), 0) << line;
+    stats[line.substr(5, name_end - 5)] = line.substr(name_end + 1);
+  }
+  ASSERT_EQ(line, "END");
+  EXPECT_EQ(stats.at("cmd_set"), std::to_string(kSets));
+  EXPECT_EQ(stats.at("cmd_get"), std::to_string(kSets + kMisses));
+  EXPECT_EQ(stats.at("get_hits"), std::to_string(kSets));
+  EXPECT_EQ(stats.at("get_misses"), std::to_string(kMisses));
+  EXPECT_EQ(stats.at("get_expired"), "0");
+  EXPECT_EQ(stats.at("bytes_read"), std::to_string(payload_bytes));
+  EXPECT_EQ(stats.at("bytes_written"), std::to_string(payload_bytes));
+  EXPECT_EQ(stats.at("cliffhanger_gets"), std::to_string(kSets + kMisses));
 }
 
 // The accounting IS the storage: `bytes` and the per-class slab lines come

@@ -164,12 +164,32 @@ TEST(SegmentFlushTest, DribbleOfOneByteWritesStillCompletes) {
   EXPECT_TRUE(wr.empty());
 }
 
+TEST(SegmentFlushTest, MultigetBurstLeavesInOneWrite) {
+  // A 32-hit multiget: 32 x (VALUE header, payload, CRLF) + END = 97
+  // pieces, all in one gather-write when the socket takes everything.
+  const std::string payload = "0123456789abcdef";
+  std::vector<ResponseSegment> segments;
+  for (int i = 0; i < 32; ++i) {
+    segments.push_back(MakeSegment(
+        "VALUE key" + std::to_string(i) + " 0 16\r\n", &payload, "\r\n"));
+  }
+  segments.push_back(MakeSegment("END\r\n", nullptr, ""));
+  std::string wr;
+  size_t wr_offset = 0;
+  ThrottledSink sink;
+  ASSERT_TRUE(FlushSegmentsVia(sink, &wr, &wr_offset, segments.data(),
+                               segments.size()));
+  EXPECT_EQ(sink.sink, Concatenated(segments));
+  EXPECT_EQ(sink.calls, 1);
+  EXPECT_TRUE(wr.empty());
+}
+
 TEST(SegmentFlushTest, MoreSegmentsThanIovSlotsFlushesInMultipleCalls) {
-  // 50 segments x 3 pieces = 150 pieces > kMaxFlushIov, so the gather loop
+  // More segments than kMaxFlushIov (3 pieces each), so the gather loop
   // must wrap around and keep going from the cursor.
   const std::string payload = "PAY";
   std::vector<ResponseSegment> segments;
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < kMaxFlushIov; ++i) {
     segments.push_back(
         MakeSegment("t" + std::to_string(i), &payload, "|"));
   }
@@ -180,7 +200,7 @@ TEST(SegmentFlushTest, MoreSegmentsThanIovSlotsFlushesInMultipleCalls) {
                                segments.size()));
   EXPECT_EQ(sink.sink, Concatenated(segments));
   EXPECT_TRUE(wr.empty());
-  EXPECT_GE(sink.calls, 3);  // needed more than one gather
+  EXPECT_EQ(sink.calls, 3);  // 3 x kMaxFlushIov pieces, one call per cap
 }
 
 TEST(SegmentFlushTest, DeadSocketReportsFailure) {

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "core/cache_server.h"
+#include "core/sharded_server.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "workload/zipf.h"
@@ -203,6 +204,78 @@ TEST(TenantLifecycle, AdapterFloorTracksRegisteredReservation) {
   pressure(200000);
   EXPECT_LT(idle.reservation(), kOldFloor);
   EXPECT_GE(idle.reservation(), 4 * 4096u);
+  EXPECT_TRUE(server.CheckInvariants());
+}
+
+TEST(TenantLifecycle, RegistryLookupFollowsRemoveAndReAddBetweenOps) {
+  // The registry remembers the app it found last; an app removed or
+  // re-added between two ops must be seen by the second op, never served
+  // from a stale pointer.
+  ServerConfig config;
+  config.store_values = true;
+  CacheServer server(config);
+  server.AddApp(1, 1 << 20);
+  server.AddApp(2, 1 << 20);
+  const char payload[4] = {'v', 'a', 'l', '1'};
+  const ItemMeta item = Item(42, sizeof(payload));
+  ASSERT_TRUE(server.SetValue(1, item, payload, 0, 1));
+  ASSERT_TRUE(server.GetByKey(1, 42, 16, 0, 0).valid);  // app 1 remembered
+
+  ASSERT_TRUE(server.RemoveApp(1));
+  EXPECT_EQ(server.app(1), nullptr);
+  const ValueOutcome gone = server.GetByKey(1, 42, 16, 0, 0);
+  EXPECT_FALSE(gone.valid);
+  EXPECT_FALSE(gone.outcome.cacheable);
+  EXPECT_FALSE(server.SetValue(1, item, payload, 0, 2));
+
+  // Another app's op in between, then the id comes back as a new, cold
+  // tenant.
+  EXPECT_FALSE(server.GetByKey(2, 42, 16, 0, 0).valid);
+  AppCache& fresh = server.AddApp(1, 1 << 20);
+  EXPECT_EQ(server.app(1), &fresh);
+  EXPECT_FALSE(server.GetByKey(1, 42, 16, 0, 0).valid);
+  ASSERT_TRUE(server.SetValue(1, item, payload, 0, 3));
+  const ValueOutcome back = server.GetByKey(1, 42, 16, 0, 0);
+  ASSERT_TRUE(back.valid);
+  EXPECT_EQ(back.view.cas, 3u);
+  EXPECT_EQ(fresh.TotalStats().gets, 2u);
+  EXPECT_TRUE(server.CheckInvariants());
+}
+
+TEST(TenantLifecycle, ShardBatchSeesTenantChangesBetweenBatches) {
+  ShardedServerConfig config;
+  config.server.store_values = true;
+  config.num_shards = 2;
+  ShardedCacheServer server(config);
+  server.AddApp(1, 1 << 20);
+  const uint64_t key = 9;
+  const size_t shard = server.ShardForKey(key);
+  const char payload[2] = {'o', 'k'};
+  const ItemMeta item = Item(key, sizeof(payload));
+  {
+    auto batch = server.BeginBatch(shard);
+    ASSERT_TRUE(batch.HasApp(1));
+    ASSERT_TRUE(batch.SetValue(1, item, payload, 0, 1));
+    EXPECT_TRUE(batch.GetValue(1, key, 16, 0, 0).valid);
+    EXPECT_FALSE(batch.HasApp(2));
+  }
+  ASSERT_TRUE(server.RemoveApp(1));
+  {
+    auto batch = server.BeginBatch(shard);
+    EXPECT_FALSE(batch.HasApp(1));
+    EXPECT_FALSE(batch.GetValue(1, key, 16, 0, 0).valid);
+  }
+  server.AddApp(1, 1 << 20);
+  server.AddApp(2, 1 << 20);
+  {
+    auto batch = server.BeginBatch(shard);
+    EXPECT_TRUE(batch.HasApp(2));
+    EXPECT_TRUE(batch.HasApp(1));
+    EXPECT_FALSE(batch.GetValue(1, key, 16, 0, 0).valid);  // cold again
+    ASSERT_TRUE(batch.SetValue(1, item, payload, 0, 2));
+    EXPECT_TRUE(batch.HasApp(2));
+    EXPECT_EQ(batch.GetValue(1, key, 16, 0, 0).view.cas, 2u);
+  }
   EXPECT_TRUE(server.CheckInvariants());
 }
 
