@@ -57,14 +57,16 @@ void SlabClassQueue::ApplyCapacity() {
 }
 
 void SlabClassQueue::ReserveFromCapacity() {
-  // Capacity hint: at most capacity_items_ physical entries plus the two
-  // shadows can be resident at once; pre-size the arena and index so the
-  // replay that fills this queue never grows or rehashes mid-stream. The
-  // hint flows down from the app's reservation through SetCapacityBytes /
-  // SetCapacityItems (page grants, static allocations, climber transfers).
+  // Capacity hint: pre-size the node pool and index for the physical
+  // entries plus the cliff shadow, so the replay that fills this queue
+  // never grows or rehashes mid-stream. The hint flows down from the app's
+  // reservation through SetCapacityBytes / SetCapacityItems (page grants,
+  // static allocations, climber transfers). The hill shadow is left out:
+  // it represents 1 MiB per queue (16k keys at 64-byte chunks) however
+  // few keys it holds, and counting it would size every queue's index for
+  // that worst case; its entries grow the tables on demand instead.
   lru_.ReserveItems(static_cast<size_t>(
-      capacity_items_ + lru_.segment_capacity(kCliffShadow) +
-      lru_.segment_capacity(kHillShadow)));
+      capacity_items_ + lru_.segment_capacity(kCliffShadow)));
 }
 
 void SlabClassQueue::SetCapacityBytes(uint64_t bytes) {
@@ -81,7 +83,6 @@ void SlabClassQueue::SetHillShadowBytes(uint64_t represented_bytes) {
   lru_.SetCapacity(kHillShadow,
                    std::max<uint64_t>(1, represented_bytes /
                                              config_.chunk_size));
-  ReserveFromCapacity();
 }
 
 GetResult SlabClassQueue::Get(const ItemMeta& item) {

@@ -18,7 +18,9 @@ ValueStore::Ref ValueStore::Find(uint64_t key) const {
 ValueArena& ValueStore::ArenaFor(int slab_class) {
   assert(slab_class >= 0 && slab_class < kMaxSlabClasses);
   auto& arena = arenas_[slab_class];
-  if (!arena) arena = std::make_unique<ValueArena>(ChunkSize(slab_class));
+  if (!arena) {
+    arena = std::make_unique<ValueArena>(ChunkSize(slab_class), &pool_);
+  }
   return *arena;
 }
 
@@ -121,7 +123,8 @@ std::vector<ValueStore::ClassOccupancy> ValueStore::Occupancy() const {
     o.slab_class = k;
     o.chunk_size = arenas_[k]->chunk_size();
     o.used_chunks = arenas_[k]->live_slots();
-    o.pool_chunks = arenas_[k]->pool_slots();
+    o.free_chunks = arenas_[k]->free_slots();
+    o.total_pages = arenas_[k]->held_pages();
     o.resident_bytes = arenas_[k]->resident_bytes();
     out.push_back(o);
   }
@@ -144,7 +147,7 @@ bool ValueStore::CheckInvariants() const {
     const uint32_t slot = packed & kNoSlot;
     if (slab_class >= kMaxSlabClasses) ok = false;
     if (slot == kNoSlot) return;
-    if (!arenas_[slab_class] || slot >= arenas_[slab_class]->pool_slots()) {
+    if (!arenas_[slab_class] || !arenas_[slab_class]->IsLive(slot)) {
       ok = false;
       return;
     }

@@ -19,6 +19,12 @@
 // where add/replace consulted a stale liveness guess between an eviction
 // and the next GET.
 //
+// Memory: the store owns one PagePool that all its class arenas share. A
+// page a class empties (eviction, delete, climber shrink) parks there and
+// is the next page any class of this app opens, so the bytes held follow
+// what is resident rather than every class's high-water mark. The index
+// carries no capacity hint: it grows geometrically with the keys tracked.
+//
 // Index packing: 4-bit slab class | 28-bit slot id in one uint32 FlatIndex
 // value. kNoSlot (all-28-bits-set) marks shadow-only entries; the packed
 // value is always < FlatIndex::kNotFound, so it never aliases "absent".
@@ -94,11 +100,14 @@ class ValueStore final : public SegmentedLru::Listener {
   struct ClassOccupancy {
     int slab_class = 0;
     uint32_t chunk_size = 0;
-    uint64_t used_chunks = 0;   // live slots (= physically resident items)
-    uint64_t pool_chunks = 0;   // allocated slots (live + free-list)
-    uint64_t resident_bytes = 0;  // page bytes actually held from the heap
+    uint64_t used_chunks = 0;     // live slots (= physically resident items)
+    uint64_t free_chunks = 0;     // vacant slots on the class's held pages
+    uint64_t total_pages = 0;     // pages the class holds
+    uint64_t resident_bytes = 0;  // bytes of those pages
   };
   [[nodiscard]] std::vector<ClassOccupancy> Occupancy() const;
+  // Emptied pages waiting in the pool for the next class that opens one.
+  [[nodiscard]] uint64_t pooled_bytes() const { return pool_.bytes(); }
 
   // Debug/test: every arena free-list intact and the byte counter equal to
   // the sum of live slot sizes.
@@ -114,6 +123,7 @@ class ValueStore final : public SegmentedLru::Listener {
   uint32_t DropSlot(const Ref& ref);
 
   FlatIndex index_;
+  PagePool pool_;
   std::unique_ptr<ValueArena> arenas_[kMaxSlabClasses];
   uint64_t value_bytes_ = 0;
 };

@@ -316,10 +316,13 @@ ShardedCacheServer::ValueStats ShardedCacheServer::MergedValueStats() const {
       if (store == nullptr) continue;
       total.value_bytes += store->value_bytes();
       total.tracked_keys += store->tracked_keys();
+      total.pooled_bytes += store->pooled_bytes();
       for (const ValueStore::ClassOccupancy& o : store->Occupancy()) {
         ClassUse& use = total.classes[o.slab_class];
         use.chunk_size = o.chunk_size;
         use.used_chunks += o.used_chunks;
+        use.free_chunks += o.free_chunks;
+        use.total_pages += o.total_pages;
         use.resident_bytes += o.resident_bytes;
       }
     }

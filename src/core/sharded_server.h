@@ -205,12 +205,22 @@ class ShardedCacheServer {
   struct ClassUse {
     uint32_t chunk_size = 0;
     uint64_t used_chunks = 0;
+    uint64_t free_chunks = 0;
+    uint64_t total_pages = 0;
     uint64_t resident_bytes = 0;
   };
   struct ValueStats {
     uint64_t value_bytes = 0;   // live payload bytes across all slots
     uint64_t tracked_keys = 0;  // index entries (resident + shadow)
+    uint64_t pooled_bytes = 0;  // emptied pages awaiting reuse
     std::map<int, ClassUse> classes;
+    // Arena page bytes held from the heap: every class's pages plus the
+    // pools (memcached's total_malloced).
+    [[nodiscard]] uint64_t held_bytes() const {
+      uint64_t held = pooled_bytes;
+      for (const auto& [cls, use] : classes) held += use.resident_bytes;
+      return held;
+    }
   };
   [[nodiscard]] ValueStats MergedValueStats() const;
 

@@ -474,12 +474,14 @@ void CacheAdapter::AppendStats(std::string* out) {
   // `bytes` is live payload bytes (what memcached reports for stored
   // data); bytes_stored keeps the pre-0.6 name for the same quantity;
   // bytes_read/bytes_written count payload bytes accepted by stores and
-  // served by get hits.
+  // served by get hits; total_malloced is the arena page bytes held,
+  // emptied pages awaiting reuse included.
   const ShardedCacheServer::ValueStats vs = server_->MergedValueStats();
   AppendStat(out, "bytes_stored", vs.value_bytes);
   AppendStat(out, "bytes", vs.value_bytes);
   AppendStat(out, "bytes_read", c.bytes_read);
   AppendStat(out, "bytes_written", c.bytes_written);
+  AppendStat(out, "total_malloced", vs.held_bytes());
 
   // The paper's signals, straight from the core (exact snapshot: TotalStats
   // holds every shard lock at once, and keeps departed apps' history).
@@ -493,12 +495,15 @@ void CacheAdapter::AppendStats(std::string* out) {
   AppendStat(out, "cliffhanger_rebalances", server_->rebalance_count());
 
   // Per-class arena occupancy (memcached's `stats slabs` shape, inlined
-  // into the general stats block): chunk geometry and chunks in use.
+  // into the general stats block): chunk geometry, chunks in use, and the
+  // pages the class holds with their vacant chunks.
   for (const auto& [cls, use] : vs.classes) {
     const std::string prefix = "slabs:" + std::to_string(cls);
     AppendStat(out, prefix + ":chunk_size",
                static_cast<uint64_t>(use.chunk_size));
     AppendStat(out, prefix + ":used_chunks", use.used_chunks);
+    AppendStat(out, prefix + ":total_pages", use.total_pages);
+    AppendStat(out, prefix + ":free_chunks", use.free_chunks);
   }
   for (const uint32_t app_id : server_->app_ids()) {
     std::string name = "app_" + std::to_string(app_id) + "_reservation_bytes";

@@ -1,21 +1,58 @@
 // Arena-layer tests: NodeArena free-list recycling, FlatIndex hash-table
-// semantics under churn, and a randomized differential test driving the
+// semantics under churn, a randomized differential test driving the
 // arena-backed SegmentedLru against a simple list+map reference model
 // through ~100k mixed Insert/MoveToFront/Erase/SetCapacity ops — the
 // refactor's contract is that the eviction/demotion order is bit-identical
-// to the former std::list implementation, which the model reproduces.
+// to the former std::list implementation, which the model reproduces —
+// and the ValueArena page lifecycle: per-page free lists, lowest-page-first
+// allocation, emptied pages recycled through the store's PagePool, and the
+// span contract that recycling must keep.
+//
+// The global operator new is overridden in this translation unit (this test
+// gets its own binary) with a windowed counter, so the pool-reuse test can
+// prove that opening a pooled page touches the heap zero times.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <list>
+#include <new>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "cache/segmented_lru.h"
+#include "cache/value_store.h"
 #include "util/flat_index.h"
 #include "util/node_arena.h"
 #include "util/rng.h"
+#include "util/value_arena.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(size_t size) { return CountedAlloc(size); }
+void* operator new[](size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace cliffhanger {
 namespace {
@@ -386,6 +423,178 @@ TEST(SegmentedLruDifferential, ReserveItemsDoesNotChangeBehavior) {
   for (uint64_t k = 0; k < 64; ++k) {
     EXPECT_EQ(hinted.Find(k), plain.Find(k)) << "key " << k;
   }
+}
+
+// --- ValueArena + PagePool ---
+
+constexpr uint32_t kChunk = 1024;  // 64 slots per kPageSize page
+constexpr uint32_t kPerPage = kPageSize / kChunk;
+
+std::vector<uint32_t> AllocateN(ValueArena* arena, uint32_t n) {
+  std::vector<uint32_t> slots;
+  for (uint32_t i = 0; i < n; ++i) slots.push_back(arena->Allocate());
+  return slots;
+}
+
+TEST(ValueArena, FreeingAPagesLastSlotPoolsThePage) {
+  PagePool pool;
+  ValueArena arena(kChunk, &pool);
+  const std::vector<uint32_t> slots = AllocateN(&arena, kPerPage + 1);
+  EXPECT_EQ(arena.held_pages(), 2u);
+  EXPECT_EQ(arena.resident_bytes(), 2 * kPageSize);
+  EXPECT_EQ(slots.back() / kPerPage, 1u);
+
+  arena.Free(slots.back());
+  EXPECT_EQ(pool.pages(), 1u);
+  EXPECT_EQ(pool.bytes(), kPageSize);
+  EXPECT_EQ(arena.held_pages(), 1u);
+  EXPECT_EQ(arena.resident_bytes(), kPageSize);
+  EXPECT_EQ(arena.live_slots(), kPerPage);
+  EXPECT_TRUE(arena.CheckFreeList());
+
+  // A page that still holds a live slot stays with the class.
+  arena.Free(slots[0]);
+  EXPECT_EQ(pool.pages(), 1u);
+  EXPECT_EQ(arena.held_pages(), 1u);
+  EXPECT_EQ(arena.free_slots(), 1u);
+  EXPECT_TRUE(arena.CheckFreeList());
+}
+
+TEST(ValueArena, AllocatesFromTheLowestPageWithRoom) {
+  PagePool pool;
+  ValueArena arena(kChunk, &pool);
+  const std::vector<uint32_t> slots = AllocateN(&arena, 3 * kPerPage);
+  const uint32_t high = slots[2 * kPerPage + 5];
+  const uint32_t low = slots[7];
+  arena.Free(high);  // freed first: LIFO across pages would pick `low` last
+  arena.Free(low);
+  arena.Free(slots[kPerPage + 3]);
+  EXPECT_EQ(arena.Allocate(), low);
+  EXPECT_EQ(arena.Allocate(), slots[kPerPage + 3]);
+  EXPECT_EQ(arena.Allocate(), high);
+  EXPECT_EQ(arena.held_pages(), 3u);
+  EXPECT_TRUE(arena.CheckFreeList());
+}
+
+TEST(ValueArena, RefillsTheLowestHoleBeforeGrowing) {
+  PagePool pool;
+  ValueArena arena(kChunk, &pool);
+  const std::vector<uint32_t> slots = AllocateN(&arena, 3 * kPerPage);
+  for (uint32_t i = 0; i < 2 * kPerPage; ++i) arena.Free(slots[i]);
+  EXPECT_EQ(pool.pages(), 2u);
+  EXPECT_EQ(arena.held_pages(), 1u);
+  EXPECT_TRUE(arena.CheckFreeList());
+
+  // Pages 0 and 1 are holes: the next two pages refill them in order,
+  // from the pool, and only a third opening grows the page vector.
+  for (uint32_t i = 0; i < kPerPage; ++i) {
+    EXPECT_EQ(arena.Allocate() / kPerPage, 0u);
+  }
+  EXPECT_EQ(pool.pages(), 1u);
+  for (uint32_t i = 0; i < kPerPage; ++i) {
+    EXPECT_EQ(arena.Allocate() / kPerPage, 1u);
+  }
+  EXPECT_EQ(pool.pages(), 0u);
+  EXPECT_EQ(arena.Allocate() / kPerPage, 3u);
+  EXPECT_EQ(arena.held_pages(), 4u);
+  EXPECT_TRUE(arena.CheckFreeList());
+}
+
+TEST(ValueArena, SecondArenaReusesAPooledPageWithoutHeapAllocation) {
+  PagePool pool;
+  ValueArena a(kChunk, &pool);
+  ValueArena b(2 * kChunk, &pool);
+  // Give b a hole so its next page needs no page-vector growth, then park
+  // one of a's pages on top of the pool.
+  const uint32_t slot = a.Allocate();
+  const char* a_page = a.payload(slot) - ValueArena::kHeaderBytes;
+  b.Free(b.Allocate());
+  a.Free(slot);
+  ASSERT_EQ(pool.pages(), 2u);
+
+  g_allocations = 0;
+  g_counting = true;
+  const uint32_t reused = b.Allocate();
+  g_counting = false;
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(reused, 0u);
+  EXPECT_EQ(b.payload(reused) - ValueArena::kHeaderBytes, a_page);
+  EXPECT_EQ(pool.pages(), 1u);
+  EXPECT_TRUE(a.CheckFreeList());
+  EXPECT_TRUE(b.CheckFreeList());
+}
+
+TEST(ValueArena, PagesOfChunksAbovePageSizeNeverEnterThePool) {
+  PagePool pool;
+  ValueArena arena(2 * kPageSize, &pool);
+  const uint32_t s0 = arena.Allocate();
+  const uint32_t s1 = arena.Allocate();
+  arena.Free(s1);
+  arena.Free(s0);
+  EXPECT_EQ(pool.pages(), 0u);
+  EXPECT_EQ(arena.held_pages(), 2u);  // one slot per page
+  EXPECT_EQ(arena.resident_bytes(), 4 * kPageSize);
+  EXPECT_TRUE(arena.CheckFreeList());
+  EXPECT_EQ(arena.Allocate(), s0);  // recycled in place, lowest first
+  EXPECT_EQ(arena.held_pages(), 2u);
+}
+
+TEST(ValueArena, CheckFreeListRejectsCrossPageLinksAndDoubleFrees) {
+  PagePool pool;
+  ValueArena arena(kChunk, &pool);
+  const std::vector<uint32_t> slots = AllocateN(&arena, 2 * kPerPage);
+  arena.Free(slots[1]);
+  arena.Free(slots[kPerPage + 1]);
+  ASSERT_TRUE(arena.CheckFreeList());
+
+  // A page-0 free slot linking into page 1.
+  arena.header(slots[1])->free_next = slots[kPerPage + 2];
+  EXPECT_FALSE(arena.CheckFreeList());
+  arena.header(slots[1])->free_next = ValueArena::kNullSlot;
+  ASSERT_TRUE(arena.CheckFreeList());
+
+  // What freeing the page-1 free-list head again leaves behind (the
+  // Debug-build assert is off in Release): the slot links to itself.
+  arena.header(slots[kPerPage + 1])->free_next = slots[kPerPage + 1];
+  EXPECT_FALSE(arena.CheckFreeList());
+}
+
+// The span contract at the ValueStore level: a view into a slot whose page
+// empties into the pool keeps its bytes through further frees and reads,
+// and only the next store — which may open that very page — changes them.
+TEST(ValueStoreSpan, ViewOfAPooledPageHoldsUntilTheNextStore) {
+  ValueStore store;
+  const int view_class = SlabClassFor(1000);  // alone on its page
+  const int other_class = SlabClassFor(100);
+  const std::string payload(900, 'v');
+  store.StorePhysical(1, view_class, payload.data(), 900, 0, 1, 0);
+  store.StorePhysical(2, other_class, "aaaa", 4, 0, 2, 0);
+  store.StorePhysical(3, other_class, "bbbb", 4, 0, 3, 0);
+
+  ValueView view;
+  store.FillView(store.Find(1), &view);
+  ASSERT_EQ(view.size, 900u);
+  store.OnKeyGone(1);
+  EXPECT_EQ(store.pooled_bytes(), kPageSize);
+  EXPECT_EQ(std::memcmp(view.data, payload.data(), 900), 0);
+
+  store.OnKeyGone(2);  // a free on another class's still-held page
+  ValueView other;
+  store.FillView(store.Find(3), &other);  // a read
+  EXPECT_EQ(std::string(other.data, other.size), "bbbb");
+  store.OnValueDrop(3);  // the other page empties too, on top of the pool
+  EXPECT_EQ(store.pooled_bytes(), 2 * kPageSize);
+  EXPECT_EQ(std::memcmp(view.data, payload.data(), 900), 0);
+  EXPECT_TRUE(store.CheckInvariants());
+
+  // Stores reopen pooled pages, last pooled first: the second one lands
+  // on the viewed page and overwrites it.
+  const std::string fresh(900, 'w');
+  store.StorePhysical(4, view_class, fresh.data(), 900, 0, 4, 0);
+  store.StorePhysical(5, view_class + 1, fresh.data(), 900, 0, 5, 0);
+  EXPECT_EQ(store.pooled_bytes(), 0u);
+  EXPECT_NE(std::memcmp(view.data, payload.data(), 900), 0);
+  EXPECT_TRUE(store.CheckInvariants());
 }
 
 }  // namespace

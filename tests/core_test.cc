@@ -2,6 +2,9 @@
 // (Algorithms 2-3) and the CacheServer that combines them.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "cache/value_store.h"
 #include "core/cache_server.h"
 #include "util/hashing.h"
 #include "util/rng.h"
@@ -685,6 +688,56 @@ TEST(CacheServer, ValueHitWhoseScalerCollapsesThePartitionIsNotServed) {
   EXPECT_FALSE(vo.valid);
   EXPECT_EQ(vo.view.data, nullptr);
   EXPECT_FALSE(server.PeekByKey(1, CliffKey(i), kNow, 0).valid);
+  EXPECT_TRUE(server.CheckInvariants());
+}
+
+// Arena page bytes the app holds from the heap: its classes' pages plus the
+// emptied pages parked in its store's pool.
+uint64_t HeldArenaBytes(const ValueStore& store) {
+  uint64_t held = store.pooled_bytes();
+  for (const ValueStore::ClassOccupancy& o : store.Occupancy()) {
+    held += o.resident_bytes;
+  }
+  return held;
+}
+
+// Held value memory follows what is resident, not each class's high-water
+// mark: after one class is filled and emptied, filling another class with
+// the same bytes reuses the emptied pages instead of adding its own.
+TEST(CacheServer, EmptiedClassPagesServeTheNextClass) {
+  ServerConfig config;
+  config.store_values = true;
+  CacheServer server(config);
+  server.AddApp(1, 16 << 20);
+  const ValueStore& store = *server.app(1)->value_store();
+
+  const auto fill = [&](uint64_t first_key, uint32_t count,
+                        uint32_t value_size) {
+    const std::string value(value_size, 'x');
+    for (uint32_t i = 0; i < count; ++i) {
+      ItemMeta item;
+      item.key = HashCombine(0xA7E4A, first_key + i);
+      item.key_size = 16;
+      item.value_size = value_size;
+      ASSERT_TRUE(server.SetValue(1, item, value.data(), 0, i + 1));
+    }
+  };
+  // 2 MiB of 1 KiB chunks, then the same 2 MiB as 2 KiB chunks.
+  constexpr uint32_t kSmall = 2048;
+  fill(0, kSmall, 900);
+  ASSERT_EQ(store.value_bytes(), uint64_t{kSmall} * 900);
+  const uint64_t peak = HeldArenaBytes(store);
+  EXPECT_EQ(peak, uint64_t{2} << 20);
+
+  for (uint32_t i = 0; i < kSmall; ++i) {
+    ASSERT_TRUE(server.DeleteByKey(1, HashCombine(0xA7E4A, i), 0, 0));
+  }
+  EXPECT_EQ(store.value_bytes(), 0u);
+  EXPECT_EQ(store.pooled_bytes(), peak);
+
+  fill(kSmall, kSmall / 2, 1900);
+  ASSERT_EQ(store.value_bytes(), uint64_t{kSmall / 2} * 1900);
+  EXPECT_LE(HeldArenaBytes(store), peak + kPageSize);
   EXPECT_TRUE(server.CheckInvariants());
 }
 

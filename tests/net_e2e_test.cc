@@ -520,6 +520,64 @@ TEST_P(NetE2eTest, StatsReportRealArenaMemoryAccounting) {
   EXPECT_EQ(stats.at("bytes_read"), "2200");
 }
 
+// Held memory follows residency: a class emptied by deletes gives its arena
+// pages back to the store's pool, `total_pages` for it reads 0, and the
+// same bytes stored in another class reuse those pages, so total_malloced
+// (page bytes held, pool included) does not move.
+TEST_P(NetE2eTest, EmptiedClassPagesMoveToAnotherClass) {
+  ShardedServerConfig config;
+  config.server = DefaultServerConfig();
+  config.num_shards = 1;  // one store, one page pool
+  StartServer(config, {{1, 8 * kMiB}}, 1);
+  net::AsciiClient client = MakeClient();
+
+  const auto store_all = [&](const char* prefix, int count, size_t size) {
+    const std::string value(size, 'p');
+    std::string blob;
+    for (int i = 0; i < count; ++i) {
+      blob += "set " + std::string(prefix) + std::to_string(i) + " 0 0 " +
+              std::to_string(size) + " noreply\r\n" + value + "\r\n";
+    }
+    ASSERT_TRUE(client.SendRaw(blob));
+    ASSERT_EQ(client.Version(), std::string(net::kServerVersion));  // sync
+  };
+  const auto slab_stat = [](const std::map<std::string, std::string>& stats,
+                            int cls, const char* field) {
+    return stats.at("slabs:" + std::to_string(cls) + ":" + field);
+  };
+  // Two full pages of 1 KiB chunks, then two of 2 KiB chunks.
+  const int small_class = SlabClassFor(ExactFootprint(4, 900));
+  const int big_class = SlabClassFor(ExactFootprint(4, 1900));
+  ASSERT_EQ(ChunkSize(small_class), 1024u);
+  ASSERT_EQ(ChunkSize(big_class), 2048u);
+  const std::string two_pages = std::to_string(2 * kPageSize);
+
+  store_all("s", 128, 900);
+  auto stats = client.Stats();
+  EXPECT_EQ(slab_stat(stats, small_class, "total_pages"), "2");
+  EXPECT_EQ(slab_stat(stats, small_class, "free_chunks"), "0");
+  EXPECT_EQ(stats.at("total_malloced"), two_pages);
+
+  std::string deletes;
+  for (int i = 0; i < 128; ++i) {
+    deletes += "delete s" + std::to_string(i) + " noreply\r\n";
+  }
+  ASSERT_TRUE(client.SendRaw(deletes));
+  ASSERT_EQ(client.Version(), std::string(net::kServerVersion));  // sync
+  stats = client.Stats();
+  EXPECT_EQ(slab_stat(stats, small_class, "used_chunks"), "0");
+  EXPECT_EQ(slab_stat(stats, small_class, "total_pages"), "0");
+  EXPECT_EQ(stats.at("total_malloced"), two_pages);
+
+  store_all("b", 64, 1900);
+  stats = client.Stats();
+  EXPECT_EQ(slab_stat(stats, big_class, "used_chunks"), "64");
+  EXPECT_EQ(slab_stat(stats, big_class, "total_pages"), "2");
+  EXPECT_EQ(slab_stat(stats, small_class, "total_pages"), "0");
+  EXPECT_EQ(stats.at("total_malloced"), two_pages);
+  EXPECT_EQ(stats.at("bytes"), std::to_string(64 * 1900));
+}
+
 // Regression: `add` (and replace/cas) decide presence from the core, not
 // from any adapter-side record of what was once stored. Under the old
 // side-table design an evicted key still looked "live" to `add` until some
